@@ -46,11 +46,12 @@ witness, independent of hash seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..dependencies.tgd import TGD
 from ..lang.atoms import Atom
 from ..lang.terms import Var
+from .graphs import Position, first_cycle, positions_of
 
 __all__ = [
     "AcyclicityReport",
@@ -60,7 +61,6 @@ __all__ = [
     "is_super_weakly_acyclic",
 ]
 
-Position = tuple[str, int]
 # An existential variable, identified by (rule index, variable name).
 ExVar = tuple[int, str]
 # A place: (rule index, part, atom index, argument index) with part 0
@@ -80,49 +80,6 @@ class AcyclicityReport:
         return self.acyclic
 
 
-def _positions_of(atoms: Sequence[Atom], var: Var) -> tuple[Position, ...]:
-    positions: dict[Position, None] = {}
-    for atom in atoms:
-        for index, arg in enumerate(atom.args):
-            if arg == var:
-                positions.setdefault((atom.relation.name, index))
-    return tuple(positions)
-
-
-def _find_cycle(
-    nodes: Sequence[str], edges: Mapping[str, Sequence[str]]
-) -> tuple[str, ...] | None:
-    """The first cycle of a digraph under DFS in the given node and
-    successor order, as ``(v0, ..., vk, v0)``; ``None`` when acyclic."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in nodes}
-    for root in nodes:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        path: list[str] = []
-        color[root] = GREY
-        path.append(root)
-        while stack:
-            node, next_index = stack[-1]
-            successors = edges.get(node, ())
-            if next_index < len(successors):
-                stack[-1] = (node, next_index + 1)
-                succ = successors[next_index]
-                if color.get(succ, BLACK) == GREY:
-                    start = path.index(succ)
-                    return tuple(path[start:] + [succ])
-                if color.get(succ, BLACK) == WHITE:
-                    color[succ] = GREY
-                    path.append(succ)
-                    stack.append((succ, 0))
-            else:
-                stack.pop()
-                path.pop()
-                color[node] = BLACK
-    return None
-
-
 # ----------------------------------------------------------------------
 # Joint acyclicity
 # ----------------------------------------------------------------------
@@ -135,19 +92,19 @@ def _joint_movement(
     movement: dict[ExVar, set[Position]] = {}
     for i, tgd in enumerate(tgds):
         for var in tgd.existential_variables:
-            movement[(i, var.name)] = set(_positions_of(tgd.head, var))
+            movement[(i, var.name)] = set(positions_of(tgd.head, var))
     for key, mov in movement.items():
         changed = True
         while changed:
             changed = False
             for tgd in tgds:
                 for var in dict.fromkeys(tgd.frontier):
-                    body_positions = _positions_of(tgd.body, var)
+                    body_positions = positions_of(tgd.body, var)
                     if not body_positions:
                         continue
                     if not all(pos in mov for pos in body_positions):
                         continue
-                    for pos in _positions_of(tgd.head, var):
+                    for pos in positions_of(tgd.head, var):
                         if pos not in mov:
                             mov.add(pos)
                             changed = True
@@ -172,14 +129,14 @@ def joint_acyclicity_report(tgds: Sequence[TGD]) -> AcyclicityReport:
         for target in exvars:
             rule = tgds[target[0]]
             for var in dict.fromkeys(rule.frontier):
-                body_positions = _positions_of(rule.body, var)
+                body_positions = positions_of(rule.body, var)
                 if body_positions and all(
                     pos in mov for pos in body_positions
                 ):
                     targets.append(_exvar_label(target))
                     break
         edges[_exvar_label(source)] = targets
-    cycle = _find_cycle(labels, edges)
+    cycle = first_cycle(labels, edges)
     return AcyclicityReport(cycle is None, cycle)
 
 
@@ -305,7 +262,7 @@ def super_weak_acyclicity_report(tgds: Sequence[TGD]) -> AcyclicityReport:
                     break
     for targets in edges.values():
         targets.sort(key=lambda label: int(label[4:]))
-    cycle = _find_cycle(rules, edges)
+    cycle = first_cycle(rules, edges)
     return AcyclicityReport(cycle is None, cycle)
 
 

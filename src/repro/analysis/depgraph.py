@@ -43,6 +43,7 @@ from typing import Mapping, Sequence
 from ..dependencies.tgd import TGD
 from ..lang.atoms import Atom
 from ..telemetry import TELEMETRY
+from .graphs import sccs
 
 __all__ = [
     "DepGraph",
@@ -110,60 +111,6 @@ def _head_of(dep: object) -> tuple[Atom, ...]:
     return tuple(getattr(dep, "head", ()))
 
 
-def _tarjan_sccs(
-    nodes: Sequence[str], edges: Mapping[str, tuple[str, ...]]
-) -> tuple[tuple[str, ...], ...]:
-    """Tarjan's SCCs, iteratively, visiting nodes and successors in the
-    given deterministic orders; components come out in reverse
-    topological order."""
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[tuple[str, ...]] = []
-    counter = 0
-    order = {name: i for i, name in enumerate(nodes)}
-    for root in nodes:
-        if root in index_of:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, next_index = work[-1]
-            if next_index == 0:
-                index_of[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            recurse = False
-            successors = edges.get(node, ())
-            for i in range(next_index, len(successors)):
-                succ = successors[i]
-                if succ not in index_of:
-                    work[-1] = (node, i + 1)
-                    work.append((succ, 0))
-                    recurse = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if recurse:
-                continue
-            if lowlink[node] == index_of[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                component.sort(key=order.__getitem__)
-                sccs.append(tuple(component))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return tuple(sccs)
-
-
 def _build(dependencies: Sequence[object]) -> DepGraph:
     deps = list(dependencies)
     predicates: list[str] = []
@@ -219,9 +166,9 @@ def _build(dependencies: Sequence[object]) -> DepGraph:
                     reachable.add(atom.relation.name)
                     changed = True
     edges = {name: tuple(targets) for name, targets in edge_map.items()}
-    sccs = _tarjan_sccs(predicates, edges)
+    components = sccs(predicates, edges)
     recursive: set[str] = set()
-    for component in sccs:
+    for component in components:
         if len(component) > 1:
             recursive.update(component)
         else:
@@ -236,7 +183,7 @@ def _build(dependencies: Sequence[object]) -> DepGraph:
         edges=edges,
         existential_edges=frozenset(existential_edges),
         reachable=frozenset(reachable),
-        sccs=sccs,
+        sccs=components,
         recursive_predicates=frozenset(recursive),
     )
 

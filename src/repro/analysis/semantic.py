@@ -63,7 +63,7 @@ from ..instances.critical import critical_instance
 from ..lang.schema import Schema
 from ..lang.terms import Const, Var
 from ..telemetry import TELEMETRY
-from .acyclicity import _find_cycle
+from .graphs import first_cycle
 
 __all__ = [
     "SemanticReport",
@@ -295,7 +295,7 @@ def msa_report(
             name: [t for s, t in sorted(edges) if s == name]
             for name in nodes
         }
-        cycle = _find_cycle(nodes, adjacency)
+        cycle = first_cycle(nodes, adjacency)
         report = SemanticReport(
             cycle is None, cycle, result.rounds
         )

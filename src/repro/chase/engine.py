@@ -389,127 +389,84 @@ def _unify_atom(atom: Atom, tup: tuple[object, ...]) -> dict[Var, object] | None
     return partial
 
 
-def _enumerate_triggers(
+def _trigger_batches(
     state: _State | ColumnarState,
     dep: TGD,
     cursor: _DeltaCursor,
     strategy: str,
     plan: str | None,
     order: str | None,
-) -> list[dict[Var, object]]:
-    """The dependency's candidate triggers for this sweep, canonically
-    ordered.
+    chunk: int | None,
+) -> Iterator[list[dict[Var, object]]]:
+    """The dependency's candidate triggers for this sweep, in
+    canonically ordered, non-empty batches.
 
     ``naive`` re-enumerates every body match.  ``seminaive`` joins each
     body atom in turn against the delta (facts logged since the cursor)
     and the remaining atoms against the full state, so every returned
     trigger touches at least one new fact; triggers whose body is
     entirely old were already enumerated by an earlier sweep.  After an
-    egd merge (generation bump) the delta is meaningless and a full
-    enumeration is forced.
+    egd merge (generation bump) the delta is meaningless and every fact
+    counts as new.
+
+    Without a ``chunk`` the whole delta is one slice, and a sweep where
+    every fact counts as new is one full body join.  With a ``chunk``
+    the delta is consumed in slices of at most that many facts, each
+    joined, deduplicated by binding key, sorted and handed back for
+    firing before the next slice is touched, so at most one slice's
+    triggers are materialized at a time.  Every batch is fully
+    materialized before the caller mutates the state, so no paused join
+    enumeration ever observes a mutation.  Firing between batches
+    changes what later batches join against: full-tgd dependencies
+    reach the same final instance, existential heads a universal model
+    whose null numbering may differ from the unchunked run's.  A binding
+    whose body facts span two slices is enumerated in both batches; the
+    activity check (or oblivious done-set) keeps it from firing twice.
     """
     univ = dep.universal_variables
-    if strategy == "naive" or cursor.generation != state.generation:
-        triggers = list(
-            all_extensions_of(dep.body, state, plan=plan, order=order)
-        )
-    else:
-        triggers = []
-        delta = state.log[cursor.position:]
-        if dep.body and delta:
-            by_rel: dict[Relation, list[tuple[object, ...]]] = {}
-            for rel, tup in delta:
-                by_rel.setdefault(rel, []).append(tup)
-            seen: set[tuple[object, ...]] = set()
-            for i, atom in enumerate(dep.body):
-                new_tuples = by_rel.get(atom.relation)
-                if not new_tuples:
-                    continue
-                rest = dep.body[:i] + dep.body[i + 1:]
-                for tup in new_tuples:
-                    partial = _unify_atom(atom, tup)
-                    if partial is None:
-                        continue
-                    for trig in all_extensions_of(
-                        rest, state, partial, plan=plan, order=order
-                    ):
-                        key = tuple(trig[v] for v in univ)
-                        if key not in seen:
-                            seen.add(key)
-                            triggers.append(trig)
-    cursor.generation = state.generation
-    cursor.position = len(state.log)
-    # Canonical firing order: by the frontier-to-be bindings.  Makes the
-    # fired sequence (and hence null numbering) strategy-independent.
-    triggers.sort(
-        key=lambda trig: tuple(element_sort_key(trig[v]) for v in univ)
-    )
-    return triggers
-
-
-def _delta_trigger_chunks(
-    state: _State | ColumnarState,
-    dep: TGD,
-    cursor: _DeltaCursor,
-    plan: str | None,
-    order: str | None,
-    chunk: int,
-) -> Iterator[list[dict[Var, object]]]:
-    """A memory-bounded semi-naive sweep: the dependency's triggers in
-    canonically-sorted batches, at most one delta slice's worth
-    materialized at a time.
-
-    The unchunked sweep materializes *every* candidate trigger before
-    firing any; at 10^6 delta facts that list dominates peak memory.
-    Here the delta (the whole log on a first sweep or after an egd
-    merge, when every fact counts as new) is consumed in slices of
-    ``chunk`` facts: each slice's triggers are joined, deduplicated by
-    binding key, sorted, and handed back for firing before the next
-    slice is touched.  Every batch is fully materialized before the
-    caller mutates the state, so no paused join enumeration ever
-    observes a mutation.
-
-    Firing between batches changes what later batches join against, so
-    the global firing order differs from the unchunked sweep's single
-    canonical sort.  For full-tgd dependencies the final instance is
-    unchanged (the restricted chase of full tgds computes the unique
-    least fixpoint under any fair order); with existential heads the
-    run still yields a universal model, but its null numbering may
-    differ from the unchunked run's.  Either way the result is a pure
-    function of the inputs — batches are deterministic slices in
-    deterministic order.  A binding whose body facts span two slices is
-    enumerated in both batches; the engine's activity check (or
-    oblivious done-set) keeps it from firing twice.
-    """
-    univ = dep.universal_variables
-    start = 0 if cursor.generation != state.generation else cursor.position
-    log_end = len(state.log)
-    cursor.generation = state.generation
-    cursor.position = log_end
     body = dep.body
-    if not body:
-        # A variable-free body matches at most once; no delta to slice.
+    full = strategy == "naive" or cursor.generation != state.generation
+    start = 0 if full else cursor.position
+    end = len(state.log)
+    cursor.generation = state.generation
+    cursor.position = end
+
+    def canonical(triggers: list[dict[Var, object]]) -> list[dict[Var, object]]:
+        # Canonical firing order: by the frontier-to-be bindings.  Makes
+        # the fired sequence (and hence null numbering)
+        # strategy-independent.
+        triggers.sort(
+            key=lambda trig: tuple(element_sort_key(trig[v]) for v in univ)
+        )
+        return triggers
+
+    if full and (chunk is None or not body):
+        # One full join (a variable-free body matches at most once, so
+        # it never needs slicing).
         triggers = list(
             all_extensions_of(body, state, plan=plan, order=order)
         )
         if triggers:
-            yield triggers
+            yield canonical(triggers)
         return
-    log = state.log
-    sort_key = lambda trig: tuple(  # noqa: E731 - mirrors the plain path
-        element_sort_key(trig[v]) for v in univ
-    )
-    for lo in range(start, log_end, chunk):
+    if not body or start == end:
+        return
+    step = chunk or end - start
+    for lo in range(start, end, step):
+        by_rel: dict[Relation, list[tuple[object, ...]]] = {}
+        for rel, tup in state.log[lo:lo + step]:
+            by_rel.setdefault(rel, []).append(tup)
         batch: list[dict[Var, object]] = []
         seen: set[tuple[object, ...]] = set()
-        for rel, tup in log[lo:lo + chunk]:
-            for i, atom in enumerate(body):
-                if atom.relation != rel:
-                    continue
+        for i, atom in enumerate(body):
+            new_tuples = by_rel.get(atom.relation)
+            if not new_tuples:
+                continue
+            rest = body[:i] + body[i + 1:]
+            for tup in new_tuples:
                 partial = _unify_atom(atom, tup)
                 if partial is None:
                     continue
-                rest = body[:i] + body[i + 1:]
                 for trig in all_extensions_of(
                     rest, state, partial, plan=plan, order=order
                 ):
@@ -518,8 +475,7 @@ def _delta_trigger_chunks(
                         seen.add(key)
                         batch.append(trig)
         if batch:
-            batch.sort(key=sort_key)
-            yield batch
+            yield canonical(batch)
 
 
 def _combined_schema(instance: Instance, deps: Sequence[Dependency]) -> Schema:
@@ -626,7 +582,7 @@ def chase(
     platforms without the ``resource`` module the budget never trips.
 
     ``delta_chunk`` bounds how many delta facts a semi-naive sweep
-    joins at a time (see :func:`_delta_trigger_chunks`): instead of
+    joins at a time (see :func:`_trigger_batches`): instead of
     materializing every candidate trigger of a dependency before
     firing, triggers are produced and fired in per-slice batches, so
     peak memory scales with the chunk (times join fan-out) rather than
@@ -854,19 +810,10 @@ def chase(
                                 True, True, StopReason.EGD_FAILURE
                             )
                         continue
-                    if delta_chunk is None:
-                        batches: Iterable[list[dict[Var, object]]] = (
-                            _enumerate_triggers(
-                                state, dep, cursors[index], strategy,
-                                plan, order,
-                            ),
-                        )
-                    else:
-                        batches = _delta_trigger_chunks(
-                            state, dep, cursors[index], plan, order,
-                            delta_chunk,
-                        )
-                    for triggers in batches:
+                    for triggers in _trigger_batches(
+                        state, dep, cursors[index], strategy, plan, order,
+                        delta_chunk,
+                    ):
                         if (
                             memory_kb is not None
                             and _peak_rss_kb() > memory_kb

@@ -12,15 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
-
+from ..analysis.graphs import Position, positions_of, sccs, shortest_path
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
 from ..telemetry import TELEMETRY
 
 __all__ = ["Position", "WeakAcyclicityReport", "position_graph", "is_weakly_acyclic", "weak_acyclicity_report"]
-
-Position = tuple[str, int]  # (relation name, argument index)
 
 
 @dataclass(frozen=True)
@@ -34,8 +31,10 @@ class WeakAcyclicityReport:
         return self.weakly_acyclic
 
 
-def position_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
-    """The position dependency graph.
+def position_graph(
+    tgds: Iterable[TGD],
+) -> dict[Position, dict[Position, bool]]:
+    """The position dependency graph, as ``source -> {target: special}``.
 
     For every tgd and every body occurrence of a universally quantified
     variable ``x`` at position ``p``:
@@ -44,73 +43,32 @@ def position_graph(tgds: Iterable[TGD]) -> nx.DiGraph:
     * a *special* edge ``p → q`` for every head position ``q`` of every
       existentially quantified variable — provided ``x`` occurs in the
       head (i.e. ``x`` is a frontier variable).
+
+    An edge that is both regular and special is special.  Every body and
+    head position is a key, with no successors if it has no out-edges.
     """
     if TELEMETRY.enabled:
         TELEMETRY.count("analysis.position_graph_builds")
-    graph = nx.DiGraph()
+    graph: dict[Position, dict[Position, bool]] = {}
     for tgd in tgds:
         frontier = set(tgd.frontier)
-        existential = set(tgd.existential_variables)
-        head_positions: dict[object, list[Position]] = {}
-        for atom in tgd.head:
-            for i, arg in enumerate(atom.args):
-                head_positions.setdefault(arg, []).append(
-                    (atom.relation.name, i)
-                )
         existential_targets = [
             pos
-            for var in existential
-            for pos in head_positions.get(var, [])
+            for var in tgd.existential_variables
+            for pos in positions_of(tgd.head, var)
         ]
         for atom in tgd.body:
             for i, arg in enumerate(atom.args):
-                source: Position = (atom.relation.name, i)
-                graph.add_node(source)
+                successors = graph.setdefault((atom.relation.name, i), {})
                 if arg in frontier:
-                    for target in head_positions.get(arg, []):
-                        _add_edge(graph, source, target, special=False)
+                    for target in positions_of(tgd.head, arg):
+                        successors.setdefault(target, False)
                     for target in existential_targets:
-                        _add_edge(graph, source, target, special=True)
-        for positions in head_positions.values():
-            for pos in positions:
-                graph.add_node(pos)
+                        successors[target] = True
+        for atom in tgd.head:
+            for i in range(len(atom.args)):
+                graph.setdefault((atom.relation.name, i), {})
     return graph
-
-
-def _add_edge(
-    graph: nx.DiGraph, source: Position, target: Position, *, special: bool
-) -> None:
-    if graph.has_edge(source, target):
-        if special:
-            graph[source][target]["special"] = True
-    else:
-        graph.add_edge(source, target, special=special)
-
-
-def _shortest_path(
-    graph: "nx.DiGraph", start: Position, goal: Position
-) -> list[Position]:
-    """BFS shortest path expanding successors in sorted order, so the
-    returned path never depends on hash seeds."""
-    if start == goal:
-        return [start]
-    parents: dict[Position, Position] = {start: start}
-    frontier = [start]
-    while frontier:
-        next_frontier: list[Position] = []
-        for node in frontier:
-            for succ in sorted(graph.successors(node)):
-                if succ in parents:
-                    continue
-                parents[succ] = node
-                if succ == goal:
-                    path = [goal]
-                    while path[-1] != start:
-                        path.append(parents[path[-1]])
-                    return path[::-1]
-                next_frontier.append(succ)
-        frontier = next_frontier
-    return [start, goal]  # pragma: no cover - goal is always reachable
 
 
 def weak_acyclicity_report(
@@ -125,22 +83,22 @@ def weak_acyclicity_report(
     expansion.  Same set, same witness — independent of hash
     randomization and dependency iteration internals.
     """
-    tgds = [dep for dep in dependencies if isinstance(dep, TGD)]
-    graph = position_graph(tgds)
-    component_of: dict[Position, int] = {}
-    for index, component in enumerate(
-        nx.strongly_connected_components(graph)
-    ):
-        for node in component:
-            component_of[node] = index
-    for source in sorted(graph.nodes):
-        for target in sorted(graph.successors(source)):
+    graph = position_graph(dep for dep in dependencies if isinstance(dep, TGD))
+    adjacency = {node: sorted(graph[node]) for node in sorted(graph)}
+    component_of = {
+        node: index
+        for index, component in enumerate(sccs(list(adjacency), adjacency))
+        for node in component
+    }
+    for source, targets in adjacency.items():
+        for target in targets:
             if (
                 component_of[target] == component_of[source]
-                and graph[source][target]["special"]
+                and graph[source][target]
             ):
-                path = _shortest_path(graph, target, source)
-                return WeakAcyclicityReport(False, tuple([source, *path]))
+                path = shortest_path(adjacency, target, source)
+                assert path is not None  # same component: reachable
+                return WeakAcyclicityReport(False, (source, *path))
     return WeakAcyclicityReport(True, None)
 
 

@@ -23,8 +23,9 @@ in the standard decidability map.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from ..analysis.graphs import Position, positions_of
 from ..lang.terms import Var
 from .tgd import TGD
 
@@ -34,26 +35,6 @@ __all__ = [
     "sticky_marking",
     "is_sticky_set",
 ]
-
-Position = tuple[str, int]
-
-
-def _head_positions_of(tgd: TGD, var: Var) -> list[Position]:
-    positions = []
-    for atom in tgd.head:
-        for index, arg in enumerate(atom.args):
-            if arg == var:
-                positions.append((atom.relation.name, index))
-    return positions
-
-
-def _body_positions_of(tgd: TGD, var: Var) -> list[Position]:
-    positions = []
-    for atom in tgd.body:
-        for index, arg in enumerate(atom.args):
-            if arg == var:
-                positions.append((atom.relation.name, index))
-    return positions
 
 
 def affected_positions(tgds: Sequence[TGD]) -> frozenset[Position]:
@@ -66,17 +47,17 @@ def affected_positions(tgds: Sequence[TGD]) -> frozenset[Position]:
     affected: set[Position] = set()
     for tgd in tgds:
         for var in tgd.existential_variables:
-            affected.update(_head_positions_of(tgd, var))
+            affected.update(positions_of(tgd.head, var))
     changed = True
     while changed:
         changed = False
         for tgd in tgds:
             for var in tgd.frontier:
-                body_positions = _body_positions_of(tgd, var)
+                body_positions = positions_of(tgd.body, var)
                 if body_positions and all(
                     pos in affected for pos in body_positions
                 ):
-                    for pos in _head_positions_of(tgd, var):
+                    for pos in positions_of(tgd.head, var):
                         if pos not in affected:
                             affected.add(pos)
                             changed = True
@@ -98,7 +79,7 @@ def is_weakly_guarded_set(tgds: Sequence[TGD]) -> bool:
             var
             for var in tgd.universal_variables
             if all(
-                pos in affected for pos in _body_positions_of(tgd, var)
+                pos in affected for pos in positions_of(tgd.body, var)
             )
         ]
         required = set(dangerous)
@@ -131,7 +112,7 @@ def sticky_marking(tgds: Sequence[TGD]) -> dict[int, frozenset[Var]]:
             pos
             for i, tgd in enumerate(tgds)
             for var in marked[i]
-            for pos in _body_positions_of(tgd, var)
+            for pos in positions_of(tgd.body, var)
         }
         for i, tgd in enumerate(tgds):
             frontier = set(tgd.frontier)

@@ -105,8 +105,20 @@ def _element_from_json(value):
     if isinstance(value, str):
         return Const(value)
     if isinstance(value, dict) and "null" in value:
-        return Null(int(value["null"]))
+        try:
+            return Null(int(value["null"]))
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise InstanceError(f"cannot deserialize element {value!r}")
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else an :class:`InstanceError`."""
+    if not isinstance(value, kind):
+        raise InstanceError(
+            f"{what} must be a {kind.__name__}, got {value!r}"
+        )
+    return value
 
 
 def instance_to_json(instance: Instance) -> str:
@@ -131,22 +143,38 @@ def instance_to_json(instance: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    document = json.loads(text)
-    schema = Schema(
-        Relation(name, arity)
-        for name, arity in document["schema"].items()
-    )
+    """Parse an :func:`instance_to_json` document.  Anything else —
+    invalid JSON, a non-object top level or ``"schema"``, rows that are
+    not lists, undeclared relations, bad elements — raises
+    :class:`InstanceError` (a ``ValueError``)."""
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"invalid instance JSON: {exc}") from None
+    _expect(document, dict, "an instance document")
+    arities = _expect(document.get("schema"), dict, '"schema"')
+    for name, arity in arities.items():
+        if not name or type(arity) is not int or arity < 0:
+            raise InstanceError(f'bad "schema" entry {name!r}: {arity!r}')
+    schema = Schema(Relation(name, arity) for name, arity in arities.items())
     relations: dict[Relation, set[tuple]] = {}
     domain = set()
-    for name, rows in document.get("relations", {}).items():
-        rel = schema.relation(name)
+    for name, rows in _expect(
+        document.get("relations", {}), dict, '"relations"'
+    ).items():
+        rel = schema.get(name)
+        if rel is None:
+            raise InstanceError(f"relation {name!r} is not in the schema")
         tuples = set()
-        for row in rows:
-            tup = tuple(_element_from_json(v) for v in row)
+        for row in _expect(rows, list, f"the rows of {name!r}"):
+            tup = tuple(
+                _element_from_json(v)
+                for v in _expect(row, list, f"a row of {name!r}")
+            )
             tuples.add(tup)
             domain.update(tup)
         relations[rel] = tuples
-    for value in document.get("inactive", []):
+    for value in _expect(document.get("inactive", []), list, '"inactive"'):
         domain.add(_element_from_json(value))
     return Instance(schema, domain, relations)
 

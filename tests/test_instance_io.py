@@ -80,3 +80,58 @@ class TestJson:
     def test_bad_element_rejected(self):
         with pytest.raises(Exception):
             instance_from_json('{"schema": {"P": 1}, "relations": {"P": [[42]]}}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "5",
+            "[]",
+            '"E(a, b)"',
+            "null",
+            "{not json",
+            "{}",
+            '{"schema": []}',
+            '{"schema": {"P": "1"}}',
+            '{"schema": {"P": -1}}',
+            '{"schema": {"": 1}}',
+            '{"schema": {"P": 1}, "relations": []}',
+            '{"schema": {"P": 1}, "relations": {"P": "a"}}',
+            '{"schema": {"P": 1}, "relations": {"P": ["a"]}}',
+            '{"schema": {"P": 1}, "relations": {"P": [{"a": 1}]}}',
+            '{"schema": {"P": 1}, "relations": {"Q": [["a"]]}}',
+            '{"schema": {"P": 1}, "relations": {"P": [["a", "b"]]}}',
+            '{"schema": {"P": 1}, "relations": {"P": [[{"null": "x"}]]}}',
+            '{"schema": {"P": 1}, "relations": {"P": [[{"null": [1]}]]}}',
+            '{"schema": {"P": 1}, "relations": {"P": [[{"null": Infinity}]]}}',
+            '{"schema": {"P": 1}, "inactive": "a"}',
+        ],
+        ids=[
+            "int-top-level",
+            "list-top-level",
+            "string-top-level",
+            "null-top-level",
+            "invalid-json",
+            "missing-schema",
+            "schema-not-a-mapping",
+            "string-arity",
+            "negative-arity",
+            "empty-relation-name",
+            "relations-not-a-mapping",
+            "rows-not-a-list",
+            "row-not-a-list",
+            "row-is-an-object",
+            "unknown-relation",
+            "wrong-arity",
+            "non-numeric-null",
+            "list-null-index",
+            "infinite-null-index",
+            "inactive-not-a-list",
+        ],
+    )
+    def test_malformed_documents_raise_instance_error(self, text):
+        with pytest.raises(InstanceError):
+            instance_from_json(text)
+
+    def test_instance_error_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            instance_from_json("5")

@@ -1,8 +1,13 @@
 """Unit tests for weak acyclicity."""
 
+from hypothesis import given
+
 from repro import Schema, chase, parse_tgds
 from repro.chase import is_weakly_acyclic, position_graph, weak_acyclicity_report
 from repro import Instance
+
+from .test_analysis_properties import SETTINGS, tgd_sets
+from .test_graphs import closure
 
 SCHEMA = Schema.of(("E", 2), ("P", 1))
 
@@ -46,13 +51,13 @@ class TestWeakAcyclicity:
     def test_position_graph_shape(self):
         graph = position_graph(rules("P(x) -> exists z . E(x, z)"))
         assert ("P", 0) in graph
-        assert graph.has_edge(("P", 0), ("E", 0))
-        assert graph[("P", 0)][("E", 1)]["special"]
+        assert ("E", 0) in graph[("P", 0)]
+        assert graph[("P", 0)][("E", 1)]  # the special flag
 
     def test_non_frontier_variables_produce_no_special_edges(self):
         # x does not occur in the head, so no special edge from P's position.
         graph = position_graph(rules("P(x) -> exists z . P(z)"))
-        assert graph.number_of_edges() == 0
+        assert sum(len(successors) for successors in graph.values()) == 0
 
     def test_weakly_acyclic_sets_terminate(self):
         deps = rules(
@@ -98,5 +103,35 @@ class TestDeterministicWitness:
         )
         cycle = report.cycle
         edges = list(zip(cycle, cycle[1:]))
-        assert all(graph.has_edge(u, v) for u, v in edges)
-        assert any(graph[u][v]["special"] for u, v in edges)
+        assert all(v in graph[u] for u, v in edges)
+        assert any(graph[u][v] for u, v in edges)
+
+
+class TestWeakAcyclicityProperties:
+    """On random tgd sets, checked against a transitive closure of the
+    position graph computed in the test."""
+
+    @SETTINGS
+    @given(tgd_sets())
+    def test_weakly_acyclic_iff_no_special_edge_closes_a_cycle(self, sigma):
+        graph = position_graph(sigma)
+        nodes = list(graph)
+        reach = closure(nodes, {u: list(graph[u]) for u in nodes})
+        special_cycle = any(
+            special and (s == t or s in reach[t])
+            for s in nodes
+            for t, special in graph[s].items()
+        )
+        assert is_weakly_acyclic(sigma) == (not special_cycle)
+
+    @SETTINGS
+    @given(tgd_sets())
+    def test_witness_is_a_cycle_through_a_special_edge(self, sigma):
+        cycle = weak_acyclicity_report(sigma).cycle
+        if cycle is None:
+            return
+        graph = position_graph(sigma)
+        edges = list(zip(cycle, cycle[1:]))
+        assert cycle[0] == cycle[-1]
+        assert all(v in graph[u] for u, v in edges)
+        assert any(graph[u][v] for u, v in edges)
