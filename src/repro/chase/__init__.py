@@ -6,6 +6,7 @@ from .engine import (
     ChaseMonitorStop,
     ChaseResult,
     Inventor,
+    Observer,
     StopReason,
     chase,
 )
@@ -19,7 +20,7 @@ from .termination import (
 
 __all__ = [
     "STRATEGIES", "ChaseError", "ChaseMonitorStop", "ChaseResult",
-    "Inventor", "StopReason", "chase",
+    "Inventor", "Observer", "StopReason", "chase",
     "Firing", "TracedChaseResult", "explain", "traced_chase",
     "WeakAcyclicityReport", "is_weakly_acyclic", "position_graph",
     "weak_acyclicity_report",

@@ -49,7 +49,6 @@ from typing import (
     Iterable,
     Iterator,
     Mapping,
-    Sequence,
     Union,
 )
 
@@ -78,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ChaseResult", "ChaseError", "ChaseMonitorStop", "StopReason",
-    "chase", "Inventor", "STRATEGIES",
+    "chase", "Inventor", "Observer", "STRATEGIES",
 ]
 
 Dependency = Union[TGD, EGD, DenialConstraint]
@@ -91,6 +90,12 @@ STRATEGIES = ("seminaive", "naive")
 # labeled nulls; repro.analysis.semantic plugs in Skolem-term builders
 # whose cycle monitors abort the run by raising ChaseMonitorStop.
 Inventor = Callable[[TGD, Var, Mapping[Var, object]], object]
+
+# A firing observer: called once per fired tgd trigger, after the head
+# image is added, with (tgd, full assignment) — the universal bindings
+# plus the invented witnesses.  It only listens; repro.chase.provenance
+# builds its firing log on it.
+Observer = Callable[[TGD, Mapping[Var, object]], None]
 
 
 class ChaseError(ValueError):
@@ -478,20 +483,16 @@ def _trigger_batches(
             yield canonical(batch)
 
 
-def _combined_schema(instance: Instance, deps: Sequence[Dependency]) -> Schema:
-    return Schema.combined(
-        (instance.schema, *(dep.schema for dep in deps))
-    )
-
-
 def _fire_tgd(
     state: _State | ColumnarState,
     tgd: TGD,
     trigger: dict[Var, object],
     nulls: FreshNulls,
     inventor: Inventor | None = None,
+    observer: Observer | None = None,
 ) -> tuple[int, int]:
-    """Add the head image for a trigger; returns (facts_added, nulls_used)."""
+    """Add the head image for a trigger, then notify the observer;
+    returns (facts_added, nulls_used)."""
     assignment = dict(trigger)
     created = 0
     if inventor is None:
@@ -507,6 +508,8 @@ def _fire_tgd(
         tup = tuple(assignment[arg] for arg in atom.args)  # type: ignore[index]
         if state.add(atom.relation, tup):
             added += 1
+    if observer is not None:
+        observer(tgd, assignment)
     return added, created
 
 
@@ -563,6 +566,7 @@ def chase(
     backend: str = DEFAULT_BACKEND,
     order: str | None = None,
     inventor: Inventor | None = None,
+    observer: Observer | None = None,
 ) -> ChaseResult:
     """Chase ``instance`` with tgds and egds.
 
@@ -643,6 +647,14 @@ def chase(
     engine reports as a clean ``StopReason.MONITOR`` result.  The
     default ``None`` is the reference fresh-null path, bit-identical to
     every release before the seam existed.
+
+    ``observer`` listens to firings: a callable ``(tgd, assignment)``
+    called once per fired tgd trigger, after the head image is added,
+    with the full assignment (universal bindings plus invented
+    witnesses).  It only listens — a run with an observer equals the
+    run without one — and it is not recorded in ``config``.
+    :func:`repro.chase.traced_chase` builds its firing log on it, on
+    every backend, strategy and plan.
     """
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):
@@ -706,7 +718,9 @@ def chase(
     }
     if inventor is not None:
         config["monitored"] = True
-    schema = _combined_schema(instance, deps)
+    schema = Schema.combined(
+        (instance.schema, *(dep.schema for dep in deps))
+    )
     memory_kb = None if max_memory_mb is None else max_memory_mb * 1024
     if memory_kb is not None and _peak_rss_kb() > memory_kb:
         # Already over budget before any work: stop ahead of the
@@ -847,7 +861,8 @@ def chase(
                                     continue
                             try:
                                 added, created = _fire_tgd(
-                                    state, dep, trigger, nulls, inventor
+                                    state, dep, trigger, nulls, inventor,
+                                    observer,
                                 )
                             except ChaseMonitorStop:
                                 return finish(

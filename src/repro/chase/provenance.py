@@ -1,6 +1,7 @@
 """Chase provenance: which rule firing produced which fact.
 
-`traced_chase` runs the restricted chase while recording one
+`traced_chase` runs the restricted chase (:func:`repro.chase.chase`,
+the one engine) with a firing observer that records one
 :class:`Firing` per trigger, and :func:`explain` walks the trace
 backwards to produce the derivation tree of a fact — the standard
 debugging surface of a materialization engine.
@@ -8,28 +9,16 @@ debugging surface of a materialization engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Union
 
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..homomorphisms.search import (
-    all_extensions_of,
-    find_extension,
-    satisfies_atoms,
-)
 from ..instances.instance import Instance
 from ..lang.atoms import Fact
-from ..lang.terms import FreshNulls, Var, element_sort_key
-from .engine import (
-    ChaseError,
-    ChaseResult,
-    StopReason,
-    _State,
-    _combined_schema,
-    _fire_tgd,
-)
+from ..lang.terms import Var
+from .engine import ChaseError, ChaseResult, chase
 
 __all__ = ["Firing", "TracedChaseResult", "traced_chase", "explain"]
 
@@ -79,81 +68,30 @@ def traced_chase(
     egds (which merge elements) are rejected; use :func:`repro.chase.chase`
     when egds are involved.
     """
-    deps = sorted(dependencies, key=str)
+    deps = list(dependencies)
     if any(isinstance(d, EGD) for d in deps):
         raise ChaseError("traced_chase supports tgds and dcs only")
 
-    schema = _combined_schema(instance, deps)
-    state = _State(instance, schema)
-    nulls = FreshNulls()
+    # Without egds no fact is ever removed or renamed, so a head fact
+    # not yet seen (input or earlier conclusion) is exactly a new one.
+    seen = set(instance.facts())
     trace: list[Firing] = []
-    rounds = 0
-    fired = 0
-    nulls_created = 0
 
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            return TracedChaseResult(
-                ChaseResult(
-                    state.snapshot(), False, False, rounds, fired,
-                    nulls_created, stop_reason=StopReason.ROUND_BUDGET,
-                ),
-                tuple(trace),
+    def record(tgd: TGD, assignment: Mapping[Var, object]) -> None:
+        conclusions: list[Fact] = []
+        for atom in tgd.head:
+            fact = atom.to_fact(assignment)
+            if fact not in seen:
+                seen.add(fact)
+                conclusions.append(fact)
+        if conclusions:
+            premises = sorted(atom.to_fact(assignment) for atom in tgd.body)
+            trace.append(
+                Firing(tgd, tuple(premises), tuple(sorted(conclusions)))
             )
-        rounds += 1
-        progressed = False
-        for dep in deps:
-            if isinstance(dep, DenialConstraint):
-                if find_extension(dep.body, state) is not None:
-                    return TracedChaseResult(
-                        ChaseResult(
-                            state.snapshot(), True, True, rounds, fired,
-                            nulls_created,
-                            stop_reason=StopReason.DENIAL_VIOLATION,
-                        ),
-                        tuple(trace),
-                    )
-                continue
-            univ = dep.universal_variables
-            triggers = sorted(
-                all_extensions_of(dep.body, state),
-                key=lambda trig: tuple(
-                    element_sort_key(trig[v]) for v in univ
-                ),
-            )
-            for trigger in triggers:
-                # Activity re-check against the live indexed state — the
-                # engine's canonical order, so traces match chase() runs.
-                if satisfies_atoms(dep.head, state, trigger):
-                    continue
-                before = {
-                    rel: set(tuples)
-                    for rel, tuples in state.relations.items()
-                }
-                added, created = _fire_tgd(state, dep, trigger, nulls)
-                fired += 1
-                nulls_created += created
-                progressed = progressed or added > 0 or created > 0
-                premises = tuple(
-                    sorted(atom.to_fact(trigger) for atom in dep.body)
-                )
-                conclusions = tuple(
-                    sorted(
-                        Fact(rel, tup)
-                        for rel, tuples in state.relations.items()
-                        for tup in tuples - before[rel]
-                    )
-                )
-                if conclusions:
-                    trace.append(Firing(dep, premises, conclusions))
-        if not progressed:
-            return TracedChaseResult(
-                ChaseResult(
-                    state.snapshot(), True, False, rounds, fired,
-                    nulls_created, stop_reason=StopReason.FIXPOINT,
-                ),
-                tuple(trace),
-            )
+
+    result = chase(instance, deps, max_rounds=max_rounds, observer=record)
+    return TracedChaseResult(result, tuple(trace))
 
 
 def explain(

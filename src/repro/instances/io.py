@@ -42,7 +42,7 @@ def save_instance_csv(instance: Instance, directory: Union[str, Path]) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for rel in instance.schema:
         path = directory / f"{rel.name}.csv"
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow([f"c{i}" for i in range(rel.arity)])
             for tup in sorted(instance.tuples(rel), key=repr):
@@ -62,31 +62,47 @@ def load_instance_csv(
 ) -> Instance:
     """Read every ``*.csv`` in the directory as a relation.
 
-    Arities are inferred from the headers when no schema is given.
+    Arities are inferred from the headers when no schema is given.  A
+    path that is not a directory, a file that cannot be read or decoded
+    as UTF-8, a relation the given schema lacks and a malformed table
+    all raise :class:`InstanceError` (a ``ValueError``).
     """
     directory = Path(directory)
+    if not directory.is_dir():
+        raise InstanceError(f"{directory} is not a directory")
     relations: dict[Relation, set[tuple]] = {}
     for path in sorted(directory.glob("*.csv")):
         name = path.stem
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None:
-                continue
-            arity = len(header)
-            rel = (
-                schema.relation(name) if schema is not None else Relation(name, arity)
-            )
-            if rel.arity != arity:
-                raise InstanceError(
-                    f"{path.name} has {arity} columns, schema says "
-                    f"{rel.arity}"
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                reader = csv.reader(handle)
+                header = next(reader, None)
+                if header is None:
+                    continue
+                arity = len(header)
+                rel = (
+                    Relation(name, arity) if schema is None
+                    else schema.get(name)
                 )
-            tuples = relations.setdefault(rel, set())
-            for row in reader:
-                if len(row) != arity:
-                    raise InstanceError(f"ragged row in {path.name}: {row}")
-                tuples.add(tuple(Const(cell) for cell in row))
+                if rel is None:
+                    raise InstanceError(
+                        f"relation {name!r} of {path.name} is not in "
+                        f"the schema"
+                    )
+                if rel.arity != arity:
+                    raise InstanceError(
+                        f"{path.name} has {arity} columns, schema says "
+                        f"{rel.arity}"
+                    )
+                tuples = relations.setdefault(rel, set())
+                for row in reader:
+                    if len(row) != arity:
+                        raise InstanceError(
+                            f"ragged row in {path.name}: {row}"
+                        )
+                    tuples.add(tuple(Const(cell) for cell in row))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise InstanceError(f"cannot read {path.name}: {exc}") from None
     if schema is None:
         schema = Schema(relations.keys())
     domain = {elem for tuples in relations.values() for tup in tuples for elem in tup}

@@ -118,7 +118,8 @@ def assert_strategies_agree(instance, deps, *, variant="restricted"):
     — same facts, same null numbering, same statistics.  (Under
     ``plan="interpreted"`` the columnar backend exercises its decoded
     probe interface rather than the ID-level executor; both cells are
-    part of the contract.)
+    part of the contract.)  Each cell also runs with a firing observer,
+    which must leave the result unchanged and hear ``fired`` firings.
 
     The adaptive cells (``order="adaptive"``, compiled plans only, both
     backends × both strategies) get the contract the order mode
@@ -136,10 +137,22 @@ def assert_strategies_agree(instance, deps, *, variant="restricted"):
                     plan=plan, backend=backend,
                     max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
                 )
+                # The firing observer only listens: the observed run is
+                # the same run, and it hears every firing exactly once.
+                heard: list = []
+                observed = chase(
+                    instance, deps, variant=variant, strategy=strategy,
+                    plan=plan, backend=backend,
+                    max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
+                    observer=lambda tgd, assignment: heard.append(tgd),
+                )
+                label = f"{backend}/{strategy}/{plan}"
+                assert observed == result, label
+                assert observed.config == result.config, label
+                assert len(heard) == result.fired, label
                 if reference is None:
                     reference = result
                     continue
-                label = f"{backend}/{strategy}/{plan}"
                 assert result.stop_reason == reference.stop_reason, label
                 assert result.terminated == reference.terminated, label
                 assert result.failed == reference.failed, label

@@ -48,6 +48,38 @@ class TestCsv:
         with pytest.raises(InstanceError):
             load_instance_csv(tmp_path)
 
+    def test_missing_directory_raises_instance_error(self, tmp_path):
+        with pytest.raises(InstanceError):
+            load_instance_csv(tmp_path / "absent")
+
+    def test_file_instead_of_directory_raises_instance_error(self, tmp_path):
+        path = tmp_path / "E.csv"
+        path.write_text("c0,c1\na,b\n")
+        with pytest.raises(InstanceError):
+            load_instance_csv(path)
+
+    def test_relation_outside_schema_raises_instance_error(self, tmp_path):
+        (tmp_path / "Q.csv").write_text("c0\na\n")
+        with pytest.raises(InstanceError):
+            load_instance_csv(tmp_path, SCHEMA)
+
+    def test_undecodable_bytes_raise_instance_error(self, tmp_path):
+        (tmp_path / "P.csv").write_bytes(b"c0\n\xff\xfe\n")
+        with pytest.raises(InstanceError):
+            load_instance_csv(tmp_path)
+
+    def test_csv_named_directory_raises_instance_error(self, tmp_path):
+        (tmp_path / "P.csv").mkdir()
+        with pytest.raises(InstanceError):
+            load_instance_csv(tmp_path)
+
+    def test_non_ascii_roundtrip(self, tmp_path):
+        (tmp_path / "P.csv").write_text("c0\nzürich\n", encoding="utf-8")
+        loaded = load_instance_csv(tmp_path, SCHEMA)
+        assert Const("zürich") in loaded.domain
+        save_instance_csv(loaded, tmp_path / "out")
+        assert load_instance_csv(tmp_path / "out", SCHEMA) == loaded
+
 
 class TestJson:
     def test_roundtrip_constants(self):

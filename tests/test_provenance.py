@@ -1,10 +1,16 @@
 """Unit tests for chase provenance."""
 
+import random
+
 import pytest
 
-from repro import Instance, Schema, parse_tgds
-from repro.chase import ChaseError, explain, traced_chase
-from repro.lang import Const, Fact, parse_dependency
+from repro import Instance, Schema, chase, parse_tgds
+from repro.chase import ChaseError, StopReason, explain, traced_chase
+from repro.dependencies.classes import TGDClass
+from repro.dependencies.denial import DenialConstraint
+from repro.lang import Atom, Const, Fact, Var, parse_dependency
+from repro.workloads.random_instances import random_instance
+from repro.workloads.random_tgds import random_schema, random_tgd_set
 
 SCHEMA = Schema.of(("E", 2), ("P", 1), ("Q", 1))
 
@@ -94,3 +100,78 @@ class TestExplain:
         traced = traced_chase(Instance.parse("E(a, b)", SCHEMA), chain_rules)
         lines = explain(traced, fact("E", "b", "a"), max_depth=0)
         assert any("..." in line for line in lines)
+
+
+CLASSES = (TGDClass.FULL, TGDClass.GUARDED, TGDClass.LINEAR)
+
+
+def _random_case(seed: int):
+    """A seeded full, guarded or linear set, every fourth one with a
+    denial constraint, most with a small round budget."""
+    rng = random.Random(seed)
+    cls = CLASSES[seed % len(CLASSES)]
+    schema = random_schema(rng, relations=rng.randint(2, 3), max_arity=2)
+    try:
+        tgds = random_tgd_set(
+            rng, schema, rng.randint(1, 4), cls=cls, body_atoms=2,
+            head_atoms=2, body_variables=3, existential_variables=1,
+        )
+    except ValueError:
+        return None
+    deps: list = list(tgds)
+    if seed % 4 == 0:
+        rel = rng.choice(list(schema))
+        pool = [Var("d0"), Var("d1")]
+        deps.append(DenialConstraint((
+            Atom(rel, tuple(rng.choice(pool) for __ in range(rel.arity))),
+        )))
+    instance = random_instance(rng, schema, rng.randint(2, 3), density=0.3)
+    if cls is TGDClass.FULL and seed % 2:
+        max_rounds = None
+    else:
+        max_rounds = rng.choice([1, 2, 4])
+    return instance, deps, max_rounds
+
+
+class TestRandomInvariants:
+    """The firing log against the run it observes, on random sets."""
+
+    @pytest.mark.parametrize("seed", range(90))
+    def test_trace_accounts_for_the_run(self, seed):
+        case = _random_case(seed)
+        if case is None:
+            pytest.skip("schema cannot support requested tgd shape")
+        instance, deps, max_rounds = case
+        traced = traced_chase(instance, deps, max_rounds=max_rounds)
+        result = traced.result
+        known = set(instance.facts())
+        for firing in traced.trace:
+            assert set(firing.premises) <= known, str(firing)
+            assert not known & set(firing.conclusions), str(firing)
+            assert len(set(firing.conclusions)) == len(firing.conclusions)
+            known |= set(firing.conclusions)
+        assert known == result.instance.facts()
+        assert len(traced.trace) == result.fired
+        plain = chase(instance, deps, max_rounds=max_rounds)
+        assert result.instance == plain.instance
+        assert (
+            result.rounds, result.fired, result.nulls_created,
+            result.stop_reason,
+        ) == (
+            plain.rounds, plain.fired, plain.nulls_created,
+            plain.stop_reason,
+        )
+
+    def test_cases_cover_every_stop_reason(self):
+        reasons = set()
+        for seed in range(90):
+            case = _random_case(seed)
+            if case is not None:
+                instance, deps, max_rounds = case
+                reasons.add(
+                    chase(instance, deps, max_rounds=max_rounds).stop_reason
+                )
+        assert reasons == {
+            StopReason.FIXPOINT, StopReason.ROUND_BUDGET,
+            StopReason.DENIAL_VIOLATION,
+        }
