@@ -18,8 +18,12 @@ Two evaluation strategies compute the same result:
 * **seminaive** (default) — delta-driven: each round, a dependency's
   body is only matched against joins that touch at least one fact added
   since that dependency was last evaluated, so old triggers are never
-  re-derived.  The working state keeps a per-relation, per-position
-  hash index that the homomorphism search probes directly.
+  re-derived.  Egds take part in the same protocol: a merge rewrites
+  only the facts that mention the dropped element and logs the new
+  rewrites like any addition, and an egd or denial constraint is
+  re-checked only after one of its body relations has logged a fact.
+  The working state keeps a per-relation, per-position hash index that
+  the homomorphism search probes directly.
 * **naive** — re-enumerates every trigger of every dependency each
   round (the textbook fixpoint loop).  Kept forever as the reference
   implementation: ``tests/test_differential_chase.py`` cross-checks the
@@ -197,13 +201,22 @@ class _State:
     path.
 
     Semi-naive bookkeeping: every genuinely new fact is appended to
-    ``log``; per-dependency cursors into the log define the delta each
-    dependency still has to see.  Egd merges rename elements in place,
-    which invalidates the deltas — ``generation`` is bumped and the log
-    rebuilt, forcing a full re-enumeration on the next sweep.
+    ``log``, and ``log_marks`` maps each relation to the log length
+    just after its latest entry.  Per-dependency cursors into the log
+    define the delta each dependency still has to see.  An egd merge
+    rewrites only the facts that mention the dropped element: they
+    leave their relation (their log entries go stale and sweeps skip
+    them), and the rewritten facts that are new are appended to the log
+    like any other addition, so every cursor's delta stays valid.
+
+    ``log_input`` also logs the input facts, in canonical order, for a
+    chunked first sweep to slice; an unchunked first sweep is one full
+    join and never reads them, so by default they are not logged.
     """
 
-    def __init__(self, instance: Instance, schema: Schema) -> None:
+    def __init__(
+        self, instance: Instance, schema: Schema, log_input: bool = False
+    ) -> None:
         self.schema = schema
         self.domain: set[object] = set(instance.domain)
         self.relations: dict[Relation, set[tuple[object, ...]]] = {
@@ -214,29 +227,22 @@ class _State:
             )
             for rel in schema
         }
-        self.generation = 0
         self.epoch = 0
         self.log: list[tuple[Relation, tuple[object, ...]]] = []
-        self._index: dict[Relation, dict[tuple[int, object], set[tuple[object, ...]]]] = {}
+        self.log_marks: dict[Relation, int] = {}
+        self._index: dict[Relation, dict[tuple[int, object], set[tuple[object, ...]]]] = {
+            rel: {} for rel in self.relations
+        }
         self._sorted: dict[object, tuple[int, tuple[tuple[object, ...], ...]]] = {}
         self._stats: dict[Relation, StatsAccumulator] = {}
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Recompute the index, log and statistics from the relation
-        sets."""
-        self._index = {rel: {} for rel in self.relations}
-        self._sorted.clear()
-        self.log = []
-        self._stats = {
-            rel: StatsAccumulator(rel.arity) for rel in self.relations
-        }
+        # Relations whose max_bucket may overstate after a merge shrank
+        # a bucket; recomputed when the statistics are next read.
+        self._stale_max: set[Relation] = set()
         for rel, tuples in self.relations.items():
             buckets = self._index[rel]
-            stats = self._stats[rel]
+            self._stats[rel] = stats = StatsAccumulator(rel.arity)
+            stats.rows = len(tuples)
             for tup in tuples:
-                self.log.append((rel, tup))
-                stats.rows += 1
                 for pos, elem in enumerate(tup):
                     bucket = buckets.get((pos, elem))
                     if bucket is None:
@@ -248,6 +254,11 @@ class _State:
                         bucket.add(tup)
                         if len(bucket) > stats.max_bucket[pos]:
                             stats.max_bucket[pos] = len(bucket)
+            if log_input and tuples:
+                self.log.extend(
+                    (rel, tup) for tup in sorted(tuples, key=element_sort_key)
+                )
+                self.log_marks[rel] = len(self.log)
 
     # -- Instance-compatible probe interface ---------------------------
 
@@ -263,7 +274,15 @@ class _State:
     def relation_stats(self, relation: Relation) -> RelationStats:
         """An O(arity) snapshot of the incrementally maintained
         statistics — the adaptive ordering strategy's stats hook."""
-        return self._stats[relation].snapshot()
+        stats = self._stats[relation]
+        if relation in self._stale_max:
+            self._stale_max.discard(relation)
+            biggest = [0] * relation.arity
+            for (pos, _elem), bucket in self._index[relation].items():
+                if len(bucket) > biggest[pos]:
+                    biggest[pos] = len(bucket)
+            stats.max_bucket = biggest
+        return stats.snapshot()
 
     # -- sorted views for the compiled join plans ----------------------
     #
@@ -331,34 +350,82 @@ class _State:
                 bucket.add(tup)
                 if len(bucket) > stats.max_bucket[pos]:
                     stats.max_bucket[pos] = len(bucket)
-        self.log.append((relation, tup))
+        log = self.log
+        log.append((relation, tup))
+        self.log_marks[relation] = len(log)
         return True
 
     def merge(self, keep: object, drop: object) -> None:
-        """Replace ``drop`` by ``keep`` everywhere."""
+        """Replace ``drop`` by ``keep`` everywhere.
+
+        Only the facts that mention ``drop`` (found through the
+        positional index) are touched: they are unindexed and removed,
+        and their rewrites are added back — and logged, when new — in
+        canonical order."""
         self.domain.discard(drop)
         self.domain.add(keep)
-        for rel, tuples in self.relations.items():
-            self.relations[rel] = {
-                tuple(keep if elem == drop else elem for elem in tup)
-                for tup in tuples
-            }
-        self.generation += 1
         self.epoch += 1
-        self._rebuild()
+        self._sorted.clear()
+        for rel, hits, renamed in _rewrite_mentions(self, keep, drop):
+            tuples = self.relations[rel]
+            buckets = self._index[rel]
+            stats = self._stats[rel]
+            for tup in hits:
+                tuples.discard(tup)
+                stats.rows -= 1
+                for pos, elem in enumerate(tup):
+                    bucket = buckets[pos, elem]
+                    bucket.discard(tup)
+                    if not bucket:
+                        del buckets[pos, elem]
+                        stats.distinct[pos] -= 1
+            self._stale_max.add(rel)
+            for tup in renamed:
+                self.add(rel, tup)
+
+
+# (relation, facts mentioning the dropped element, their new rewrites)
+_Rewrite = tuple[
+    Relation, set[tuple[object, ...]], list[tuple[object, ...]]
+]
+
+
+def _rewrite_mentions(
+    state: _State | ColumnarState, keep: object, drop: object
+) -> list[_Rewrite]:
+    """Per relation mentioning ``drop``, in schema order: the facts
+    that mention it (found through the positional index) and their
+    rewrites with ``drop`` replaced by ``keep``, deduplicated and in
+    canonical order.  Both backends' merges log the new rewrites in
+    exactly this order, which keeps their counters in parity."""
+    rewrites: list[_Rewrite] = []
+    for rel in state.relations:
+        hits: set[tuple[object, ...]] = set()
+        for pos in range(rel.arity):
+            hits.update(state.tuples_with(rel, pos, drop))
+        if hits:
+            renamed = {
+                tuple(keep if elem == drop else elem for elem in tup)
+                for tup in hits
+            }
+            rewrites.append(
+                (rel, hits, sorted(renamed, key=element_sort_key))
+            )
+    return rewrites
 
 
 _EMPTY_SET: frozenset = frozenset()
 
 
 class _DeltaCursor:
-    """Per-dependency position into a :class:`_State`'s fact log."""
+    """Per-dependency position into a working state's fact log: the
+    log length at the dependency's last sweep (tgds) or last clean scan
+    (egds and denial constraints); ``-1`` before the first."""
 
-    __slots__ = ("generation", "position")
+    __slots__ = ("position",)
 
     def __init__(self) -> None:
-        self.generation = -1  # never evaluated: first sweep sees all
-        self.position = 0
+        self.position = -1
 
 
 def _peak_rss_kb() -> int:
@@ -397,6 +464,7 @@ def _unify_atom(atom: Atom, tup: tuple[object, ...]) -> dict[Var, object] | None
 def _trigger_batches(
     state: _State | ColumnarState,
     dep: TGD,
+    univ: tuple[Var, ...],
     cursor: _DeltaCursor,
     strategy: str,
     plan: str | None,
@@ -406,34 +474,40 @@ def _trigger_batches(
     """The dependency's candidate triggers for this sweep, in
     canonically ordered, non-empty batches.
 
-    ``naive`` re-enumerates every body match.  ``seminaive`` joins each
-    body atom in turn against the delta (facts logged since the cursor)
-    and the remaining atoms against the full state, so every returned
-    trigger touches at least one new fact; triggers whose body is
-    entirely old were already enumerated by an earlier sweep.  After an
-    egd merge (generation bump) the delta is meaningless and every fact
-    counts as new.
+    ``naive`` re-enumerates every body match, and so does the first
+    seminaive sweep (the cursor has never swept).  Later ``seminaive``
+    sweeps join each body atom in turn against the delta (facts logged
+    since the cursor) and the remaining atoms against the full state, so
+    every returned trigger touches at least one new fact; triggers whose
+    body is entirely old were already enumerated by an earlier sweep.
+    Egd merges keep this valid: a merge logs the rewritten facts it
+    creates like any addition, and a log entry whose fact a merge
+    rewrote away has left its relation and is skipped.  A trigger over
+    facts no merge touched was fired or found satisfied at an earlier
+    sweep, and the merge maps that witness along, so it stays
+    satisfied.  A sweep where no body relation logged a fact since the
+    cursor has nothing to join.
 
-    Without a ``chunk`` the whole delta is one slice, and a sweep where
-    every fact counts as new is one full body join.  With a ``chunk``
-    the delta is consumed in slices of at most that many facts, each
-    joined, deduplicated by binding key, sorted and handed back for
-    firing before the next slice is touched, so at most one slice's
-    triggers are materialized at a time.  Every batch is fully
-    materialized before the caller mutates the state, so no paused join
-    enumeration ever observes a mutation.  Firing between batches
-    changes what later batches join against: full-tgd dependencies
-    reach the same final instance, existential heads a universal model
-    whose null numbering may differ from the unchunked run's.  A binding
-    whose body facts span two slices is enumerated in both batches; the
-    activity check (or oblivious done-set) keeps it from firing twice.
+    Without a ``chunk`` the whole delta is one slice, and the first
+    sweep is one full body join.  With a ``chunk`` the delta — for the
+    first sweep, the whole log, input facts included — is consumed in
+    slices of at most that many facts, each joined, deduplicated by
+    binding key, sorted and handed back for firing before the next
+    slice is touched, so at most one slice's triggers are materialized
+    at a time.  Every batch is fully materialized before the caller
+    mutates the state, so no paused join enumeration ever observes a
+    mutation.  Firing between batches changes what later batches join
+    against: full-tgd dependencies reach the same final instance,
+    existential heads a universal model whose null numbering may differ
+    from the unchunked run's.  A binding whose body facts span two
+    slices is enumerated in both batches; the activity check (or
+    oblivious done-set) keeps it from firing twice.
     """
-    univ = dep.universal_variables
     body = dep.body
-    full = strategy == "naive" or cursor.generation != state.generation
-    start = 0 if full else cursor.position
+    first = cursor.position < 0
+    full = strategy == "naive" or first
+    start = 0 if first else cursor.position
     end = len(state.log)
-    cursor.generation = state.generation
     cursor.position = end
 
     def canonical(triggers: list[dict[Var, object]]) -> list[dict[Var, object]]:
@@ -454,13 +528,15 @@ def _trigger_batches(
         if triggers:
             yield canonical(triggers)
         return
-    if not body or start == end:
+    if not body or not _logged_since(state, body, start):
         return
+    relations = state.relations
     step = chunk or end - start
     for lo in range(start, end, step):
         by_rel: dict[Relation, list[tuple[object, ...]]] = {}
         for rel, tup in state.log[lo:lo + step]:
-            by_rel.setdefault(rel, []).append(tup)
+            if tup in relations[rel]:  # else a merge rewrote it away
+                by_rel.setdefault(rel, []).append(tup)
         batch: list[dict[Var, object]] = []
         seen: set[tuple[object, ...]] = set()
         for i, atom in enumerate(body):
@@ -483,26 +559,34 @@ def _trigger_batches(
             yield canonical(batch)
 
 
+def _logged_since(
+    state: _State | ColumnarState, body: tuple[Atom, ...], position: int
+) -> bool:
+    """Has some body relation logged a fact at or after ``position``?
+    O(|body|): one ``log_marks`` lookup per atom."""
+    marks = state.log_marks
+    return any(marks.get(atom.relation, 0) > position for atom in body)
+
+
 def _fire_tgd(
     state: _State | ColumnarState,
     tgd: TGD,
+    existentials: tuple[Var, ...],
     trigger: dict[Var, object],
     nulls: FreshNulls,
     inventor: Inventor | None = None,
     observer: Observer | None = None,
 ) -> tuple[int, int]:
     """Add the head image for a trigger, then notify the observer;
-    returns (facts_added, nulls_used)."""
+    returns (facts_added, nulls_used).  ``existentials`` is the tgd's
+    ``existential_variables``, computed once per chase."""
     assignment = dict(trigger)
-    created = 0
     if inventor is None:
-        for var in tgd.existential_variables:
+        for var in existentials:
             assignment[var] = nulls()
-            created += 1
     else:
-        for var in tgd.existential_variables:
+        for var in existentials:
             assignment[var] = inventor(tgd, var, assignment)
-            created += 1
     added = 0
     for atom in tgd.head:
         tup = tuple(assignment[arg] for arg in atom.args)  # type: ignore[index]
@@ -510,7 +594,7 @@ def _fire_tgd(
             added += 1
     if observer is not None:
         observer(tgd, assignment)
-    return added, created
+    return added, len(existentials)
 
 
 def _chase_egd(
@@ -592,7 +676,8 @@ def chase(
     peak memory scales with the chunk (times join fan-out) rather than
     the full delta.  Requires ``strategy="seminaive"``.  Full-tgd sets
     chase to the identical final instance; existential heads still
-    yield a deterministic universal model, but null numbering may
+    yield a deterministic universal model (a function of the inputs
+    alone, independent of the hash seed), but null numbering may
     differ from the unchunked run's — pair it with full-tgd rule sets
     when bit-identity matters.
 
@@ -607,8 +692,12 @@ def chase(
 
     ``strategy`` selects the evaluation plan (``"seminaive"`` — delta
     joins over the indexed state, the default — or ``"naive"`` — full
-    re-enumeration each round).  Both produce the same result; see the
-    module docstring.
+    re-enumeration each round).  Under ``"seminaive"`` egd merges keep
+    every delta valid (no sweep re-joins the whole state after a
+    merge), and an egd or denial constraint whose body relations logged
+    no fact since its last clean scan is not scanned again; ``"naive"``
+    re-checks everything every round.  Both produce the same result;
+    see the module docstring.
 
     ``plan`` selects the homomorphism-search backend for trigger
     enumeration, egd violation search, denial checks and restricted
@@ -757,10 +846,22 @@ def chase(
         # modules, so the package only loads when the backend is used.
         from ..columnar.state import ColumnarState as _ColumnarState
 
-        state = _ColumnarState(instance, schema)
+        state = _ColumnarState(
+            instance, schema, log_input=delta_chunk is not None
+        )
     else:
-        state = _State(instance, schema)
+        state = _State(instance, schema, log_input=delta_chunk is not None)
     cursors = [_DeltaCursor() for __ in deps]
+    # Per-dependency variable tuples, hoisted out of the firing loop
+    # (the TGD properties recompute them on every access).
+    universals = [
+        dep.universal_variables if isinstance(dep, TGD) else ()
+        for dep in deps
+    ]
+    existentials = [
+        dep.existential_variables if isinstance(dep, TGD) else ()
+        for dep in deps
+    ]
     nulls = FreshNulls()
     fired = 0
     nulls_created = 0
@@ -806,26 +907,43 @@ def chase(
                 progressed = False
                 round_triggers = 0
                 for index, dep in enumerate(deps):
-                    if isinstance(dep, DenialConstraint):
-                        if find_extension(
-                            dep.body, state, plan=plan, order=order
-                        ) is not None:
-                            return finish(
-                                True, True, StopReason.DENIAL_VIOLATION
+                    cursor = cursors[index]
+                    if isinstance(dep, (DenialConstraint, EGD)):
+                        # Under seminaive, a constraint clean at its last
+                        # scan stays clean until a body relation logs a
+                        # fact: additions are logged, and a merge only
+                        # removes facts and logs the rewrites it creates,
+                        # so a match over facts no merge touched is one
+                        # that clean scan would have found.
+                        if (
+                            strategy == "seminaive"
+                            and cursor.position >= 0
+                            and not _logged_since(
+                                state, dep.body, cursor.position
                             )
-                        continue
-                    if isinstance(dep, EGD):
-                        changed, egd_failed = _chase_egd(
-                            state, dep, plan, order
-                        )
-                        progressed = progressed or changed
-                        if egd_failed:
-                            return finish(
-                                True, True, StopReason.EGD_FAILURE
+                        ):
+                            continue
+                        if isinstance(dep, DenialConstraint):
+                            if find_extension(
+                                dep.body, state, plan=plan, order=order
+                            ) is not None:
+                                return finish(
+                                    True, True, StopReason.DENIAL_VIOLATION
+                                )
+                        else:
+                            changed, egd_failed = _chase_egd(
+                                state, dep, plan, order
                             )
+                            progressed = progressed or changed
+                            if egd_failed:
+                                return finish(
+                                    True, True, StopReason.EGD_FAILURE
+                                )
+                        cursor.position = len(state.log)
                         continue
+                    univ = universals[index]
                     for triggers in _trigger_batches(
-                        state, dep, cursors[index], strategy, plan, order,
+                        state, dep, univ, cursor, strategy, plan, order,
                         delta_chunk,
                     ):
                         if (
@@ -841,11 +959,7 @@ def chase(
                         for trigger in triggers:
                             if variant == "oblivious":
                                 key = (
-                                    index,
-                                    tuple(
-                                        trigger[v]
-                                        for v in dep.universal_variables
-                                    ),
+                                    index, tuple(trigger[v] for v in univ)
                                 )
                                 if key in oblivious_done:
                                     continue
@@ -861,8 +975,8 @@ def chase(
                                     continue
                             try:
                                 added, created = _fire_tgd(
-                                    state, dep, trigger, nulls, inventor,
-                                    observer,
+                                    state, dep, existentials[index],
+                                    trigger, nulls, inventor, observer,
                                 )
                             except ChaseMonitorStop:
                                 return finish(

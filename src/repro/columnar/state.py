@@ -2,25 +2,29 @@
 
 :class:`ColumnarState` is the ``backend="columnar"`` drop-in for the
 chase engine's object-level ``_State``: the same attributes
-(``schema`` / ``domain`` / ``relations`` / ``generation`` / ``epoch``
-/ ``log``), the same probe interface (``tuples`` / ``tuples_with`` and
-the sorted views), the same mutation protocol (``add`` / ``merge``).
-The engine never branches on the backend — it just constructs a
-different state class.
+(``schema`` / ``domain`` / ``relations`` / ``epoch`` / ``log`` /
+``log_marks``), the same probe interface (``tuples`` / ``tuples_with``
+and the sorted views), the same mutation protocol (``add`` /
+``merge``).  The engine never branches on the backend — it just
+constructs a different state class.
 
 The object-level fact sets are kept alongside the store: ``tuples``
 returns the same ``set`` objects the reference backend would, so the
 interpreted matcher and the engine's bookkeeping behave identically,
 while the compiled matcher discovers the store through
 :meth:`columnar_kernel` and runs at ID level.  Facts are dual-written
-(a set add plus an O(arity) column append); egd merges rebuild the
-store from scratch — exactly when the reference backend rebuilds its
-index — re-interning the surviving elements in canonical order so
-value IDs stay deterministic.
+(a set add plus an O(arity) column append).  The store is append-only,
+so an egd merge rebuilds it from the rewritten fact sets, re-interning
+the surviving elements in canonical order so value IDs stay
+deterministic.  The log is kept across a merge: the merge appends the
+rewritten facts it creates exactly as the reference backend does, so
+both backends share one delta protocol and their counters stay in
+parity.
 """
 
 from __future__ import annotations
 
+from ..chase.engine import _rewrite_mentions
 from ..instances.instance import Instance
 from ..lang.schema import Relation, Schema
 from ..lang.terms import element_sort_key
@@ -31,9 +35,14 @@ __all__ = ["ColumnarState"]
 
 
 class ColumnarState:
-    """Chase working state whose probe hot path is a columnar store."""
+    """Chase working state whose probe hot path is a columnar store.
 
-    def __init__(self, instance: Instance, schema: Schema) -> None:
+    ``log_input`` logs the input facts in canonical order, as the
+    reference backend does, for a chunked first sweep to slice."""
+
+    def __init__(
+        self, instance: Instance, schema: Schema, log_input: bool = False
+    ) -> None:
         self.schema = schema
         self.domain: set[object] = set(instance.domain)
         self.relations: dict[Relation, set[tuple[object, ...]]] = {
@@ -44,10 +53,9 @@ class ColumnarState:
             )
             for rel in schema
         }
-        self.generation = 0
         self.epoch = 0
         self.log: list[tuple[Relation, tuple[object, ...]]] = []
-        self.store: ColumnarStore = ColumnarStore(())
+        self.log_marks: dict[Relation, int] = {}
         kernel = instance.columnar_kernel()
         if kernel is not None:
             # The instance already carries an interned kernel: bootstrap
@@ -58,11 +66,16 @@ class ColumnarState:
             # and counter depends only on element identity, bucket sizes
             # and the absolute sort keys.
             self.store = kernel.clone(self.relations)
-            for rel, tuples in self.relations.items():
-                for tup in sorted(tuples, key=element_sort_key):
-                    self.log.append((rel, tup))
         else:
             self._rebuild()
+        if log_input:
+            for rel, tuples in self.relations.items():
+                if tuples:
+                    self.log.extend(
+                        (rel, tup)
+                        for tup in sorted(tuples, key=element_sort_key)
+                    )
+                    self.log_marks[rel] = len(self.log)
 
     def _rebuild(self) -> None:
         """Re-intern and re-append everything from the relation sets.
@@ -73,13 +86,10 @@ class ColumnarState:
         fact sets, independent of set-iteration order.
         """
         store = ColumnarStore(self.relations)
-        log: list[tuple[Relation, tuple[object, ...]]] = []
         for rel, tuples in self.relations.items():
             for tup in sorted(tuples, key=element_sort_key):
                 store.append(rel, tup)
-                log.append((rel, tup))
         self.store = store
-        self.log = log
 
     def columnar_kernel(self) -> ColumnarStore:
         """The live store — the hook the compiled search dispatches on."""
@@ -127,18 +137,25 @@ class ColumnarState:
         tuples.add(tup)
         self.epoch += 1
         self.store.append(relation, tup)
-        self.log.append((relation, tup))
+        log = self.log
+        log.append((relation, tup))
+        self.log_marks[relation] = len(log)
         return True
 
     def merge(self, keep: object, drop: object) -> None:
-        """Replace ``drop`` by ``keep`` everywhere."""
+        """Replace ``drop`` by ``keep`` everywhere: rewrite the facts
+        that mention ``drop``, log the new rewrites in canonical order,
+        and rebuild the store."""
         self.domain.discard(drop)
         self.domain.add(keep)
-        for rel, tuples in self.relations.items():
-            self.relations[rel] = {
-                tuple(keep if elem == drop else elem for elem in tup)
-                for tup in tuples
-            }
-        self.generation += 1
         self.epoch += 1
+        log = self.log
+        for rel, hits, renamed in _rewrite_mentions(self, keep, drop):
+            tuples = self.relations[rel]
+            tuples.difference_update(hits)
+            for tup in renamed:
+                if tup not in tuples:
+                    tuples.add(tup)
+                    log.append((rel, tup))
+                    self.log_marks[rel] = len(log)
         self._rebuild()

@@ -784,4 +784,11 @@ def execute_plan(
             if telemetry.enabled:
                 telemetry.count("hom.backtracks")
 
-    yield from search(0)
+    try:
+        yield from search(0)
+    finally:
+        # ``search`` refers to itself through its closure cell, a cycle
+        # that would keep the target (a chase working state, with its
+        # index and sorted views) alive until the next cyclic garbage
+        # collection.
+        del search

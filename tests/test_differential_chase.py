@@ -34,8 +34,9 @@ from repro import Instance, Schema, chase, parse_tgds
 from repro.chase import ChaseError, StopReason
 from repro.dependencies.egd import EGD
 from repro.dependencies.denial import DenialConstraint
+from repro.dependencies.tgd import TGD
 from repro.homomorphisms.isomorphism import are_isomorphic
-from repro.lang import Atom, Const, Fact, Var
+from repro.lang import Atom, Const, Fact, Relation, Var
 from repro.telemetry import TELEMETRY
 from repro.workloads import (
     WorkloadSpec,
@@ -107,6 +108,69 @@ def _random_scenario(
         rng, schema, rng.randint(2, 3), density=0.4
     )
     return instance, deps
+
+
+_X, _Y, _Z, _W = (Var(name) for name in "xyzw")
+# Rule shapes over binary relations (p, q, s): existential witnesses,
+# joins, and copies that bring constants to keys witnesses already hold.
+_MERGE_TEMPLATES = (
+    lambda p, q, s: TGD((Atom(p, (_X, _Y)),), (Atom(q, (_X, _Z)),)),
+    lambda p, q, s: TGD(
+        (Atom(p, (_X, _Y)),), (Atom(q, (_Y, _Z)), Atom(s, (_Z, _X)))
+    ),
+    lambda p, q, s: TGD(
+        (Atom(p, (_X, _Y)), Atom(q, (_Y, _Z))), (Atom(s, (_X, _Z)),)
+    ),
+    lambda p, q, s: TGD((Atom(p, (_X, _Y)),), (Atom(q, (_X, _Y)),)),
+    lambda p, q, s: TGD((Atom(p, (_X, _Y)),), (Atom(q, (_Z, _Y)),)),
+    lambda p, q, s: TGD(
+        (Atom(p, (_X, _Y)), Atom(s, (_X, _W))), (Atom(q, (_W, _Z)),)
+    ),
+)
+
+
+def _merge_heavy_scenario(seed: int):
+    """Existential rules plus key egds that merge their witnesses.
+
+    A conflicting pair of rules gives one key two witnesses — a null
+    and a constant, or two nulls — and the key egd on the pair's target
+    merges them; random further rules and keys add joins, copies and
+    more merges.  The input is a partial matching per relation, so no
+    key fails on the input itself."""
+    rng = random.Random(seed)
+    rels = [Relation(f"M{i}", 2) for i in range(rng.randint(2, 4))]
+    deps: list = []
+    for __ in range(rng.randint(2, 4)):
+        p, q, s = (rng.choice(rels) for __ in range(3))
+        deps.append(rng.choice(_MERGE_TEMPLATES)(p, q, s))
+    p, q, s, t = (rng.choice(rels) for __ in range(4))
+    deps.append(
+        TGD((Atom(p, (_X, _Y)),), (Atom(q, (_X, _Z)), Atom(s, (_Z, _Y))))
+    )
+    if rng.random() < 0.5:  # null against constant
+        deps.append(TGD((Atom(p, (_X, _Y)),), (Atom(q, (_X, _Y)),)))
+    else:  # null against null
+        deps.append(
+            TGD((Atom(p, (_X, _Y)),), (Atom(q, (_X, _Z)), Atom(t, (_Y, _Z))))
+        )
+    keyed = [q] + [rel for rel in rels if rel != q and rng.random() < 0.4]
+    for rel in keyed:
+        if rel == q or rng.random() < 0.7:
+            body = (Atom(rel, (_X, _Y)), Atom(rel, (_X, _Z)))
+        else:
+            body = (Atom(rel, (_Y, _X)), Atom(rel, (_Z, _X)))
+        deps.append(EGD(body, _Y, _Z))
+    if rng.random() < 0.25:
+        deps.append(DenialConstraint((Atom(rng.choice(rels), (_X, _X)),)))
+    consts = [Const(f"c{i}") for i in range(rng.randint(3, 6))]
+    relations = {}
+    for rel in rels:
+        targets = consts[:]
+        rng.shuffle(targets)
+        relations[rel] = {
+            (a, b) for a, b in zip(consts, targets) if rng.random() < 0.5
+        }
+    return Instance(Schema(rels), consts, relations), deps
 
 
 def assert_strategies_agree(instance, deps, *, variant="restricted"):
@@ -285,6 +349,74 @@ class TestHypothesisSweep:
             return
         instance, deps = scenario
         assert_strategies_agree(instance, deps, variant="oblivious")
+
+
+class TestMergeHeavyEgds:
+    """Egd merges keep the semi-naive deltas valid: on rule sets whose
+    witnesses key egds merge (null–null and null–constant), every
+    backend × strategy × plan cell gives the same ``ChaseResult``, and
+    the two backends agree on every shared counter."""
+
+    SEEDS = range(40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_grid_agrees(self, seed):
+        instance, deps = _merge_heavy_scenario(seed)
+        assert_strategies_agree(instance, deps)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_backends_count_alike(self, seed):
+        instance, deps = _merge_heavy_scenario(seed)
+        for strategy in ("naive", "seminaive"):
+            for plan in ("interpreted", "compiled"):
+                counters = []
+                for backend in ("object", "columnar"):
+                    TELEMETRY.reset()
+                    TELEMETRY.enable(spans=False)
+                    try:
+                        result = chase(
+                            instance, deps, strategy=strategy, plan=plan,
+                            backend=backend, max_rounds=MAX_ROUNDS,
+                            max_facts=MAX_FACTS,
+                        )
+                        snapshot = TELEMETRY.snapshot()
+                    finally:
+                        TELEMETRY.disable()
+                        TELEMETRY.reset()
+                    counters.append((result, {
+                        name: snapshot.get(name, 0)
+                        for name in (
+                            *TestCounterParity.SHARED_COUNTERS,
+                            "chase.egd_merges",
+                        )
+                    }))
+                assert counters[0] == counters[1], f"{strategy}/{plan}"
+
+    def test_scenarios_merge_both_ways(self, monkeypatch):
+        """The sweep exercises null–constant and null–null merges, and
+        merges that a later egd failure or budget stop follows."""
+        from repro.chase.engine import _State
+
+        merges = []
+        original = _State.merge
+
+        def recording(state, keep, drop):
+            merges.append((type(keep).__name__, type(drop).__name__))
+            original(state, keep, drop)
+
+        monkeypatch.setattr(_State, "merge", recording)
+        reasons = set()
+        for seed in self.SEEDS:
+            instance, deps = _merge_heavy_scenario(seed)
+            before = len(merges)
+            result = chase(
+                instance, deps, max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS
+            )
+            if len(merges) > before:
+                reasons.add(result.stop_reason)
+        assert {("Const", "Null"), ("Null", "Null")} <= set(merges)
+        assert StopReason.FIXPOINT in reasons
+        assert StopReason.EGD_FAILURE in reasons
 
 
 class TestCuratedScenarios:
