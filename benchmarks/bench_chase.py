@@ -151,33 +151,47 @@ def test_large_chain_strategy_ablation(benchmark, strategy):
         assert speedup >= 3.0
 
 
+def _use_reference(monkeypatch):
+    """Run every search on the reference interpreter: substitute it for
+    the compiled plans at the one private point all searches share."""
+    from repro.homomorphisms import reference, search
+
+    monkeypatch.setattr(search, "_match", reference.match)
+
+
 def _plan_pair(build_db, rules, strategy):
     """Measured compiled-vs-interpreted speedup: best of three cold
-    runs per plan mode, plan cache cleared so compiles are counted."""
+    runs of the compiled plans and of the substituted reference
+    interpreter, plan cache cleared so compiles are counted."""
     from repro.homomorphisms.plans import PLAN_CACHE
 
     times = {}
     for plan in ("interpreted", "compiled"):
         best = None
-        for __ in range(3):
-            PLAN_CACHE.clear()
-            start = time.perf_counter()
-            chase(build_db(), rules, strategy=strategy, plan=plan)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if plan == "interpreted":
+                _use_reference(monkeypatch)
+            for __ in range(3):
+                PLAN_CACHE.clear()
+                start = time.perf_counter()
+                chase(build_db(), rules, strategy=strategy)
+                elapsed = time.perf_counter() - start
+                best = elapsed if best is None else min(best, elapsed)
         times[plan] = best
     return times["interpreted"] / times["compiled"]
 
 
 @pytest.mark.parametrize("plan", ["interpreted", "compiled"])
-def test_dense_graph_plan_ablation(benchmark, plan):
+def test_dense_graph_plan_ablation(benchmark, plan, monkeypatch):
     # The join-plan ablation on the dense-chase family (EXPERIMENTS.md):
     # the naive strategy re-matches every rule body each round, so it
     # isolates raw homomorphism-search throughput — plan compilation,
     # pre-sorted buckets and forward checking vs the dynamic-order
-    # interpreter.
+    # reference interpreter.
     db = random_graph(20, 0.12, seed=7)
-    result = benchmark(chase, db, DENSE_RULES, strategy="naive", plan=plan)
+    if plan == "interpreted":
+        _use_reference(monkeypatch)
+    result = benchmark(chase, db, DENSE_RULES, strategy="naive")
     assert result.successful
     if plan == "compiled":
         import os
@@ -201,7 +215,7 @@ def test_dense_graph_plan_ablation(benchmark, plan):
         try:
             chase(
                 random_graph(20, 0.12, seed=7), DENSE_RULES,
-                strategy="seminaive", plan="compiled",
+                strategy="seminaive",
             )
             counters = TELEMETRY.snapshot()
         finally:

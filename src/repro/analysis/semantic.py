@@ -30,11 +30,13 @@ restricted-chase sequence — exactly what the budget gate in
 tgd-only sets; the certificate layer never consults them when egds are
 present.
 
-Determinism and isolation: the internal chases run with
-``plan="interpreted"`` and ``backend="object"`` and with telemetry
-*paused*, so they never pollute the join-plan cache or the
-``chase.*`` counters that the committed benchmark baselines pin.  The
-only telemetry they emit is their own: ``analysis.msa_checks`` /
+Determinism and isolation: the internal chases run the compiled join
+plans on ``backend="object"`` with telemetry *paused*, so they never
+bump the ``chase.*`` / ``hom.*`` counters that the committed benchmark
+baselines pin.  The plans they compile stay in the shared plan cache,
+which changes no search stream (static-order plans are byte-identical
+to the reference interpreter's).  The only telemetry they emit is
+their own: ``analysis.msa_checks`` /
 ``analysis.mfa_checks`` counters, ``analysis.semantic_cache_hits``,
 and the ``analysis.mfa_chase_rounds`` histogram.  Reports are memoized
 on the renaming-invariant rule-set digest (Skolem function names come
@@ -225,7 +227,6 @@ def mfa_report(
             start,
             tgds,
             variant="oblivious",
-            plan="interpreted",
             backend="object",
             max_facts=max_facts,
             inventor=inventor,
@@ -284,7 +285,6 @@ def msa_report(
             start,
             tgds,
             variant="oblivious",
-            plan="interpreted",
             backend="object",
             max_facts=max_facts,
             inventor=inventor,

@@ -66,7 +66,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from ..dependencies.denial import DenialConstraint
 from ..dependencies.egd import EGD
 from ..dependencies.tgd import TGD
-from ..homomorphisms.plans import DEFAULT_ORDER, DEFAULT_PLAN, ORDER_MODES, PLAN_MODES
+from ..homomorphisms.plans import DEFAULT_ORDER, ORDER_MODES
 from ..homomorphisms.search import all_extensions_of, find_extension, satisfies_atoms
 from ..instances.instance import BACKENDS, DEFAULT_BACKEND, Instance
 from ..lang.atoms import Atom
@@ -149,7 +149,7 @@ class ChaseResult:
     ``{"chase.triggers_fired": 12, "hom.backtracks": 90}``.
 
     ``config`` records the effective run configuration (variant,
-    strategy, join-plan backend, certificate mode, budgets) — what
+    strategy, atom order, backend, certificate mode, budgets) — what
     :meth:`run_report` freezes into the ``RunReport`` artifact.
     """
 
@@ -288,10 +288,10 @@ class _State:
     #
     # The compiled search path enumerates candidates in the canonical
     # element_sort_key order.  Sorting a live set per recursion node
-    # (what the interpreted path does) would defeat the plan; instead a
-    # sorted copy of each consulted bucket is cached and invalidated by
-    # the mutation epoch, so enumeration between mutations sorts each
-    # bucket at most once.
+    # (what the reference interpreter does) would defeat the plan;
+    # instead a sorted copy of each consulted bucket is cached and
+    # invalidated by the mutation epoch, so enumeration between
+    # mutations sorts each bucket at most once.
 
     def sorted_tuples(
         self, relation: Relation
@@ -467,7 +467,6 @@ def _trigger_batches(
     univ: tuple[Var, ...],
     cursor: _DeltaCursor,
     strategy: str,
-    plan: str | None,
     order: str | None,
     chunk: int | None,
 ) -> Iterator[list[dict[Var, object]]]:
@@ -523,7 +522,7 @@ def _trigger_batches(
         # One full join (a variable-free body matches at most once, so
         # it never needs slicing).
         triggers = list(
-            all_extensions_of(body, state, plan=plan, order=order)
+            all_extensions_of(body, state, order=order)
         )
         if triggers:
             yield canonical(triggers)
@@ -549,7 +548,7 @@ def _trigger_batches(
                 if partial is None:
                     continue
                 for trig in all_extensions_of(
-                    rest, state, partial, plan=plan, order=order
+                    rest, state, partial, order=order
                 ):
                     key = tuple(trig[v] for v in univ)
                     if key not in seen:
@@ -600,7 +599,6 @@ def _fire_tgd(
 def _chase_egd(
     state: _State | ColumnarState,
     egd: EGD,
-    plan: str | None,
     order: str | None,
 ) -> tuple[bool, bool]:
     """Apply one round of egd repairs; returns (changed, failed)."""
@@ -610,9 +608,7 @@ def _chase_egd(
     while True:
         violation = None
         # Search the live state; we break out before mutating it.
-        for trigger in all_extensions_of(
-            egd.body, state, plan=plan, order=order
-        ):
+        for trigger in all_extensions_of(egd.body, state, order=order):
             if trigger[egd.lhs] != trigger[egd.rhs]:
                 violation = (trigger[egd.lhs], trigger[egd.rhs])
                 break
@@ -646,7 +642,6 @@ def chase(
     max_memory_mb: int | None = None,
     delta_chunk: int | None = None,
     certificate: str = "off",
-    plan: str | None = None,
     backend: str = DEFAULT_BACKEND,
     order: str | None = None,
     inventor: Inventor | None = None,
@@ -699,19 +694,11 @@ def chase(
     re-checks everything every round.  Both produce the same result;
     see the module docstring.
 
-    ``plan`` selects the homomorphism-search backend for trigger
-    enumeration, egd violation search, denial checks and restricted
-    activity checks: ``"compiled"`` (memoized join plans with
-    forward-checking — the default), ``"interpreted"`` (the reference
-    dynamic-order interpreter), or ``None`` to defer to
-    :data:`repro.homomorphisms.plans.DEFAULT_PLAN`.  Both modes
-    produce bit-identical chase results.
-
     ``backend`` selects the fact-storage representation of the working
     state: ``"object"`` (frozen tuples over element objects — the
     reference) or ``"columnar"`` (interned integer IDs in per-position
     columns, executed at ID level by :mod:`repro.columnar`).  Like the
-    strategy and plan pairs, the two backends are bit-identical in
+    two strategies, the two backends are bit-identical in
     every observable — facts, null numbering, trigger order and the
     shared telemetry counters — which the differential grid in
     ``tests/test_differential_chase.py`` asserts.
@@ -725,7 +712,6 @@ def chase(
     dependency sets (trigger firing order is canonically sorted); with
     egds the result is isomorphic rather than equal, because the
     first-violation search is enumeration-order dependent.
-    ``order="adaptive"`` requires ``plan="compiled"``.
 
     ``inventor`` overrides the invention of existential witnesses: a
     callable ``(tgd, variable, assignment) -> element`` consulted once
@@ -743,7 +729,7 @@ def chase(
     witnesses).  It only listens — a run with an observer equals the
     run without one — and it is not recorded in ``config``.
     :func:`repro.chase.traced_chase` builds its firing log on it, on
-    every backend, strategy and plan.
+    every backend and strategy.
     """
     deps = sorted(dependencies, key=str)
     if variant not in ("restricted", "oblivious"):
@@ -752,19 +738,14 @@ def chase(
         raise ChaseError(f"unknown chase strategy {strategy!r}")
     if certificate not in ("off", "auto"):
         raise ChaseError(f"unknown certificate mode {certificate!r}")
-    if plan is not None and plan not in PLAN_MODES:
-        raise ChaseError(f"unknown join plan mode {plan!r}")
     if order is not None and order not in ORDER_MODES:
         raise ChaseError(f"unknown join order mode {order!r}")
     effective_order = order if order is not None else DEFAULT_ORDER
-    effective_plan = plan if plan is not None else DEFAULT_PLAN
-    if effective_order != "static" and effective_plan != "compiled":
-        raise ChaseError(
-            f"order={effective_order!r} requires plan='compiled' "
-            f"(got plan={effective_plan!r})"
-        )
     if backend not in BACKENDS:
         raise ChaseError(f"unknown chase backend {backend!r}")
+    for name, budget in (("max_rounds", max_rounds), ("max_facts", max_facts)):
+        if budget is not None and budget < 0:
+            raise ChaseError(f"{name} must be >= 0, got {budget}")
     if max_memory_mb is not None and max_memory_mb < 1:
         raise ChaseError(
             f"max_memory_mb must be >= 1, got {max_memory_mb}"
@@ -795,7 +776,6 @@ def chase(
         "engine": "chase",
         "variant": variant,
         "strategy": strategy,
-        "plan": effective_plan,
         "order": effective_order,
         "backend": backend,
         "certificate": certificate,
@@ -925,14 +905,14 @@ def chase(
                             continue
                         if isinstance(dep, DenialConstraint):
                             if find_extension(
-                                dep.body, state, plan=plan, order=order
+                                dep.body, state, order=order
                             ) is not None:
                                 return finish(
                                     True, True, StopReason.DENIAL_VIOLATION
                                 )
                         else:
                             changed, egd_failed = _chase_egd(
-                                state, dep, plan, order
+                                state, dep, order
                             )
                             progressed = progressed or changed
                             if egd_failed:
@@ -943,7 +923,7 @@ def chase(
                         continue
                     univ = universals[index]
                     for triggers in _trigger_batches(
-                        state, dep, univ, cursor, strategy, plan, order,
+                        state, dep, univ, cursor, strategy, order,
                         delta_chunk,
                     ):
                         if (
@@ -969,8 +949,7 @@ def chase(
                                 # the live indexed state (no snapshot
                                 # copies).
                                 if satisfies_atoms(
-                                    dep.head, state, trigger, plan=plan,
-                                    order=order,
+                                    dep.head, state, trigger, order=order
                                 ):
                                     continue
                             try:

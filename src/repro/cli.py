@@ -55,7 +55,12 @@ Exit codes:
   above its ``--fail-on`` threshold (default ``error``) — regardless
   of output format
 * ``2`` — undecided: ``entails`` exhausted its chase budget (UNKNOWN);
-  also ``lint`` on an unreadable or unparseable rules file
+  or bad input: any command whose files are missing, unreadable, not
+  UTF-8 or malformed, or whose arguments are out of range (e.g.
+  ``--max-rounds -3``, ``--jobs 0``) prints ``<command>: <message>``
+  to stderr, without a traceback, and exits ``2``.  Two commands keep
+  their own exit ``1`` for bad input: ``stats`` on an unreadable or
+  malformed trace file and ``genworkload`` on a bad workload spec.
 
 argparse itself exits with ``2`` on usage errors and ``0`` for
 ``--help`` / ``--version``.
@@ -127,7 +132,8 @@ def _load_dependencies_with_lines(path: str):
     each (for SARIF regions)."""
     deps = []
     lines = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+    text = Path(path).read_text(encoding="utf-8")
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if line:
             deps.append(parse_dependency(line))
@@ -142,7 +148,7 @@ def _load_dependencies(path: str):
 
 
 def _load_instance(path: str) -> Instance:
-    facts = parse_facts(Path(path).read_text())
+    facts = parse_facts(Path(path).read_text(encoding="utf-8"))
     from .lang import Schema
 
     return Instance.from_facts(Schema(f.relation for f in facts), facts)
@@ -339,13 +345,7 @@ def _cmd_separations(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    try:
-        deps, lines = _load_dependencies_with_lines(args.rules)
-    except SystemExit:
-        raise
-    except (OSError, ValueError) as exc:
-        print(f"lint: cannot load {args.rules}: {exc}", file=sys.stderr)
-        return 2
+    deps, lines = _load_dependencies_with_lines(args.rules)
     report = run_lint(
         deps,
         jobs=args.jobs,
@@ -793,12 +793,19 @@ def main(argv=None) -> int:
         TELEMETRY.reset()
         TELEMETRY.enable(*sinks)
     code: int | None = None
+    crashed = True
     try:
         if quiet:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = args.func(args)
         else:
             code = args.func(args)
+        crashed = False
+    except (OSError, ValueError) as exc:
+        # The one boundary for bad input: unreadable or undecodable
+        # files, malformed rules or facts, out-of-range arguments.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        code = 2
     finally:
         # Runs on engine crashes too: disable() flushes the final
         # counter/histogram snapshots to every sink and close()s them
@@ -807,7 +814,6 @@ def main(argv=None) -> int:
         # RunReport artifact are likewise emitted below.
         if sinks:
             TELEMETRY.disable()
-        crashed = code is None
         if memory is not None and getattr(args, "profile", False):
             print(
                 render_report(memory),

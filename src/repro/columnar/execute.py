@@ -1,7 +1,7 @@
 """ID-level execution of compiled join plans over a :class:`ColumnarStore`.
 
 :func:`iterate_columnar` is the columnar twin of
-``repro.homomorphisms.search._iterate_compiled`` and
+``repro.homomorphisms.search._match`` and
 :func:`execute_plan_columnar` of
 :func:`repro.homomorphisms.plans.execute_plan`: the same plans, the
 same control flow, the same candidate order — but every probe, check

@@ -10,7 +10,7 @@ constructs a different state class.
 
 The object-level fact sets are kept alongside the store: ``tuples``
 returns the same ``set`` objects the reference backend would, so the
-interpreted matcher and the engine's bookkeeping behave identically,
+reference matcher and the engine's bookkeeping behave identically,
 while the compiled matcher discovers the store through
 :meth:`columnar_kernel` and runs at ID level.  Facts are dual-written
 (a set add plus an O(arity) column append).  The store is append-only,

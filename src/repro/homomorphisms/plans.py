@@ -1,6 +1,7 @@
 """Compiled join plans for the backtracking homomorphism search.
 
-The interpreted matcher in :mod:`repro.homomorphisms.search` re-derives
+The interpreted matcher (kept as a test oracle in
+:mod:`repro.homomorphisms.reference`) re-derives
 the atom order with an ``O(n)`` scan at every recursion node and
 re-interprets every argument position (``isinstance`` / ``dict.get``)
 for every candidate tuple — even when the same rule body is matched
@@ -96,8 +97,6 @@ from ..stats.relation import RelationStats
 from ..telemetry import TELEMETRY
 
 __all__ = [
-    "PLAN_MODES",
-    "DEFAULT_PLAN",
     "ORDER_MODES",
     "DEFAULT_ORDER",
     "JoinPlan",
@@ -113,12 +112,6 @@ __all__ = [
     "execute_plan",
     "clear_order_memo",
 ]
-
-PLAN_MODES = ("compiled", "interpreted")
-"""Valid values for the ``plan`` parameter of the search entry points."""
-
-DEFAULT_PLAN = "compiled"
-"""The plan mode used when callers do not choose one explicitly."""
 
 DEFAULT_PLAN_CACHE_SIZE = 4096
 

@@ -2,11 +2,9 @@
 rewriting for linear tgds."""
 
 from .cq import CQ, UCQ, certain_answers
-from .datalog import SeminaiveResult, seminaive_chase
 from .rewriting import RewritingResult, rewrite_ucq, subsumes
 
 __all__ = [
     "CQ", "UCQ", "certain_answers",
-    "SeminaiveResult", "seminaive_chase",
     "RewritingResult", "rewrite_ucq", "subsumes",
 ]

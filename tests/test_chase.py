@@ -44,6 +44,44 @@ class TestFullTgdChase:
         assert result.terminated
 
 
+    @pytest.mark.parametrize("strategy", ["naive", "seminaive"])
+    @pytest.mark.parametrize(
+        "rules, facts, relation, count, derived",
+        [
+            pytest.param(
+                "E(x, y) -> T(x, y)\nT(x, y), E(y, z) -> T(x, z)",
+                "E(a, b). E(b, c). E(c, d)", "T", 6, 6, id="closure",
+            ),
+            # P(a) and T(a, a) both appear in the first round; their
+            # join fires in the second, so the semi-naive sweep must
+            # join one new fact against another.
+            pytest.param(
+                "A(x) -> P(x)\nA(x) -> T(x, x)\nP(x), T(x, x) -> Goal(x)",
+                "A(a)", "Goal", 1, 3, id="same-round-cross-delta",
+            ),
+            pytest.param(
+                "E(x, y), E(y, x) -> P(x)",
+                "E(a, b). E(b, a)", "P", 2, 2, id="symmetric-join",
+            ),
+            pytest.param("", "E(a, b)", "E", 1, 0, id="no-rules"),
+        ],
+    )
+    def test_materialization_counts(
+        self, rules, facts, relation, count, derived, strategy
+    ):
+        schema = Schema.of(
+            ("E", 2), ("T", 2), ("P", 1), ("A", 1), ("Goal", 1)
+        )
+        db = Instance.parse(facts, schema)
+        result = chase(db, parse_tgds(rules, schema), strategy=strategy)
+        assert result.stop_reason == "fixpoint"
+        assert len(result.instance.tuples(relation)) == count
+        assert result.instance.fact_count() - db.fact_count() == derived
+        if relation == "T":
+            # One round per closure path length, plus the quiet one.
+            assert result.rounds >= 3
+
+
 class TestExistentialChase:
     def test_nulls_invented(self):
         rules = parse_tgds("P(x) -> exists z . E(x, z)", SCHEMA)

@@ -497,3 +497,64 @@ class TestBenchCommand:
         assert "no baseline for family 'entails-cold'" in captured.err
         assert "missing baseline(s) for: entails-cold" in captured.err
         assert "chase-full" not in captured.err
+
+
+class TestErrorBoundary:
+    """Bad input exits 2 with ``<command>: <message>`` on stderr and no
+    traceback, whichever command meets it.  Run in a subprocess, as a
+    user would, so an escaping exception shows as a traceback."""
+
+    CASES = {
+        "chase-malformed-data": ["chase", "{rules}", "{bad_facts}"],
+        "query-malformed-data": ["query", "{rules}", "{bad_facts}", "Q(x)"],
+        "classify-non-utf8-rules": ["classify", "{latin1_rules}"],
+        "chase-non-utf8-rules": ["chase", "{latin1_rules}", "{facts}"],
+        "chase-malformed-rules": ["chase", "{bad_rules}", "{facts}"],
+        "chase-rules-is-a-directory": ["chase", "{directory}", "{facts}"],
+        "chase-data-is-a-directory": ["chase", "{rules}", "{directory}"],
+        "chase-missing-rules": ["chase", "{missing}", "{facts}"],
+        "chase-negative-rounds": [
+            "chase", "{rules}", "{facts}", "--max-rounds", "-3",
+        ],
+        "entails-negative-rounds": [
+            "entails", "{rules}", "P(x) -> Q(x)", "--max-rounds", "-3",
+        ],
+        "rewrite-zero-jobs": ["rewrite", "{rules}", "--jobs", "0"],
+        "lint-malformed-rules": ["lint", "{bad_rules}"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_input_exits_2(self, case, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        files = {
+            "rules": ("rules.txt", b"P(x) -> Q(x)\n"),
+            "facts": ("data.txt", b"P(a)"),
+            "bad_facts": ("bad-data.txt", b"P(a"),
+            "bad_rules": ("bad.rules", b"P(x -> Q(x)\n"),
+            "latin1_rules": (
+                "latin1.rules", "P(é) -> Q(x)\n".encode("latin-1")
+            ),
+        }
+        paths = {}
+        for key, (name, content) in files.items():
+            (tmp_path / name).write_bytes(content)
+            paths[key] = str(tmp_path / name)
+        (tmp_path / "subdir").mkdir()
+        paths["directory"] = str(tmp_path / "subdir")
+        paths["missing"] = str(tmp_path / "missing.rules")
+        argv = [arg.format(**paths) for arg in self.CASES[case]]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"{argv[0]}: ")

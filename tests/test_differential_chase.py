@@ -1,9 +1,11 @@
-"""Differential harness: the backend × strategy × plan chase grid.
+"""Differential harness: the backend × strategy × matcher chase grid.
 
 The semi-naive engine (delta joins over the indexed state,
 ``strategy="seminaive"``), the compiled join plans, and the columnar
 interned-fact backend are each proven equivalent to the reference
-engine (object backend, naive strategy, interpreted search) by
+engine (object backend, naive strategy, and the interpreted matcher of
+:mod:`repro.homomorphisms.reference`, substituted for the plans
+through :mod:`tests.matchers`) by
 construction *and* by brute force: every grid cell fires the active
 triggers of every dependency in the same canonical order, so the
 outputs must be identical — not merely isomorphic — fact for fact and
@@ -13,7 +15,7 @@ mixed in), seed-pinned plus a hypothesis sweep, each asserting
 isomorphism (the paper-level notion, via
 :mod:`repro.homomorphisms.isomorphism`) on top of exact equality of
 instances and of every ``ChaseResult`` statistic across all eight
-backend × strategy × plan cells.
+backend × strategy × matcher cells.
 
 Also here: the counter-parity checks CI runs (the semi-naive engine may
 never *enumerate* more triggers than the naive one; the columnar
@@ -32,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Instance, Schema, chase, parse_tgds
 from repro.chase import ChaseError, StopReason
+from repro.dependencies import TGDClass
 from repro.dependencies.egd import EGD
 from repro.dependencies.denial import DenialConstraint
 from repro.dependencies.tgd import TGD
@@ -47,6 +50,8 @@ from repro.workloads import (
 from repro.workloads.random_instances import random_instance
 from repro.workloads.random_tgds import random_schema, random_tgd_set
 from repro.workloads.scenarios import all_scenarios
+
+from .matchers import MATCHERS, matching
 
 MAX_ROUNDS = 5
 MAX_FACTS = 250
@@ -176,16 +181,16 @@ def _merge_heavy_scenario(seed: int):
 def assert_strategies_agree(instance, deps, *, variant="restricted"):
     """The core differential assertion, now a 2×2×2 grid plus an order
     axis: both fact backends (object reference vs columnar interned
-    store) crossed with both evaluation strategies and both
-    homomorphism-search plan modes (interpreted reference vs compiled
-    join plans).  All eight static-order runs must be bit-for-bit equal
-    — same facts, same null numbering, same statistics.  (Under
-    ``plan="interpreted"`` the columnar backend exercises its decoded
-    probe interface rather than the ID-level executor; both cells are
-    part of the contract.)  Each cell also runs with a firing observer,
-    which must leave the result unchanged and hear ``fired`` firings.
+    store) crossed with both evaluation strategies and both matchers
+    (the interpreted reference vs the compiled join plans).  All eight
+    static-order runs must be bit-for-bit equal — same facts, same null
+    numbering, same statistics.  (Under the reference matcher the
+    columnar backend exercises its decoded probe interface rather than
+    the ID-level executor; both cells are part of the contract.)  Each
+    cell also runs with a firing observer, which must leave the result
+    unchanged and hear ``fired`` firings.
 
-    The adaptive cells (``order="adaptive"``, compiled plans only, both
+    The adaptive cells (``order="adaptive"``, compiled plans, both
     backends × both strategies) get the contract the order mode
     documents: tgd-only chases are still bit-identical to the reference
     — the canonical trigger sort erases the enumeration-stream
@@ -195,22 +200,24 @@ def assert_strategies_agree(instance, deps, *, variant="restricted"):
     reference = None
     for backend in ("object", "columnar"):
         for strategy in ("naive", "seminaive"):
-            for plan in ("interpreted", "compiled"):
-                result = chase(
-                    instance, deps, variant=variant, strategy=strategy,
-                    plan=plan, backend=backend,
-                    max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
-                )
-                # The firing observer only listens: the observed run is
-                # the same run, and it hears every firing exactly once.
-                heard: list = []
-                observed = chase(
-                    instance, deps, variant=variant, strategy=strategy,
-                    plan=plan, backend=backend,
-                    max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
-                    observer=lambda tgd, assignment: heard.append(tgd),
-                )
-                label = f"{backend}/{strategy}/{plan}"
+            for matcher in MATCHERS:
+                with matching(matcher):
+                    result = chase(
+                        instance, deps, variant=variant, strategy=strategy,
+                        backend=backend,
+                        max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
+                    )
+                    # The firing observer only listens: the observed run
+                    # is the same run, and it hears every firing exactly
+                    # once.
+                    heard: list = []
+                    observed = chase(
+                        instance, deps, variant=variant, strategy=strategy,
+                        backend=backend,
+                        max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
+                        observer=lambda tgd, assignment: heard.append(tgd),
+                    )
+                label = f"{backend}/{strategy}/{matcher}"
                 assert observed == result, label
                 assert observed.config == result.config, label
                 assert len(heard) == result.fired, label
@@ -235,7 +242,7 @@ def assert_strategies_agree(instance, deps, *, variant="restricted"):
         for strategy in ("naive", "seminaive"):
             adaptive = chase(
                 instance, deps, variant=variant, strategy=strategy,
-                plan="compiled", order="adaptive", backend=backend,
+                order="adaptive", backend=backend,
                 max_rounds=MAX_ROUNDS, max_facts=MAX_FACTS,
             )
             label = f"{backend}/{strategy}/compiled/adaptive"
@@ -272,6 +279,29 @@ class TestRandomizedSweep:
             pytest.skip("schema cannot support requested tgd shape")
         instance, deps = scenario
         assert_strategies_agree(instance, deps)
+
+    @pytest.mark.parametrize("seed", range(4000, 4020))
+    def test_full_tgds(self, seed):
+        # Full-tgd materialization: every cell reaches the same least
+        # model, which invents no null, contains the input and, at a
+        # fixpoint, satisfies every rule.
+        rng = random.Random(seed)
+        schema = random_schema(rng, relations=2, max_arity=2)
+        tgds = [
+            tgd
+            for tgd in random_tgd_set(
+                rng, schema, 3, cls=TGDClass.FULL, body_atoms=2
+            )
+            if tgd.body
+        ]
+        if not tgds:
+            pytest.skip("every generated rule has an empty body")
+        instance = random_instance(rng, schema, 3, density=0.4)
+        result = assert_strategies_agree(instance, tgds)
+        assert result.nulls_created == 0
+        assert instance.is_subset_of(result.instance)
+        if result.terminated:
+            assert all(tgd.satisfied_by(result.instance) for tgd in tgds)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_tgds_oblivious(self, seed):
@@ -354,7 +384,7 @@ class TestHypothesisSweep:
 class TestMergeHeavyEgds:
     """Egd merges keep the semi-naive deltas valid: on rule sets whose
     witnesses key egds merge (null–null and null–constant), every
-    backend × strategy × plan cell gives the same ``ChaseResult``, and
+    backend × strategy × matcher cell gives the same ``ChaseResult``, and
     the two backends agree on every shared counter."""
 
     SEEDS = range(40)
@@ -368,17 +398,18 @@ class TestMergeHeavyEgds:
     def test_backends_count_alike(self, seed):
         instance, deps = _merge_heavy_scenario(seed)
         for strategy in ("naive", "seminaive"):
-            for plan in ("interpreted", "compiled"):
+            for matcher in MATCHERS:
                 counters = []
                 for backend in ("object", "columnar"):
                     TELEMETRY.reset()
                     TELEMETRY.enable(spans=False)
                     try:
-                        result = chase(
-                            instance, deps, strategy=strategy, plan=plan,
-                            backend=backend, max_rounds=MAX_ROUNDS,
-                            max_facts=MAX_FACTS,
-                        )
+                        with matching(matcher):
+                            result = chase(
+                                instance, deps, strategy=strategy,
+                                backend=backend, max_rounds=MAX_ROUNDS,
+                                max_facts=MAX_FACTS,
+                            )
                         snapshot = TELEMETRY.snapshot()
                     finally:
                         TELEMETRY.disable()
@@ -390,7 +421,7 @@ class TestMergeHeavyEgds:
                             "chase.egd_merges",
                         )
                     }))
-                assert counters[0] == counters[1], f"{strategy}/{plan}"
+                assert counters[0] == counters[1], f"{strategy}/{matcher}"
 
     def test_scenarios_merge_both_ways(self, monkeypatch):
         """The sweep exercises null–constant and null–null merges, and
@@ -462,15 +493,16 @@ class TestCounterParity:
         "hom.forward_prunes",
     )
 
-    def _counters(self, instance, deps, strategy, plan="compiled",
+    def _counters(self, instance, deps, strategy, matcher="compiled",
                   backend="object"):
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            chase(
-                instance, deps, strategy=strategy, plan=plan,
-                backend=backend, max_rounds=8, max_facts=MAX_FACTS,
-            )
+            with matching(matcher):
+                chase(
+                    instance, deps, strategy=strategy, backend=backend,
+                    max_rounds=8, max_facts=MAX_FACTS,
+                )
             return TELEMETRY.snapshot()
         finally:
             TELEMETRY.disable()
@@ -702,12 +734,27 @@ class TestStrategyApi:
         assert STRATEGIES == ("seminaive", "naive")
 
     def test_unknown_plan_rejected(self):
+        # chase() has no plan= knob: the compiled plans are the only
+        # matcher.
         schema = Schema.of(("P", 1),)
-        with pytest.raises(ChaseError, match="join plan"):
+        with pytest.raises(TypeError, match="plan"):
             chase(
                 Instance.parse("P(a)", schema),
                 parse_tgds("P(x) -> P(x)", schema),
-                plan="vectorized",
+                plan="interpreted",
+            )
+
+    @pytest.mark.parametrize(
+        "budget, value",
+        [("max_rounds", -3), ("max_facts", -1)],
+    )
+    def test_negative_budget_rejected(self, budget, value):
+        schema = Schema.of(("P", 1),)
+        with pytest.raises(ChaseError, match=budget):
+            chase(
+                Instance.parse("P(a)", schema),
+                parse_tgds("P(x) -> P(x)", schema),
+                **{budget: value},
             )
 
     def test_unknown_order_rejected(self):
@@ -717,15 +764,6 @@ class TestStrategyApi:
                 Instance.parse("P(a)", schema),
                 parse_tgds("P(x) -> P(x)", schema),
                 order="zigzag",
-            )
-
-    def test_adaptive_requires_compiled_plans(self):
-        schema = Schema.of(("P", 1),)
-        with pytest.raises(ChaseError, match="plan='compiled'"):
-            chase(
-                Instance.parse("P(a)", schema),
-                parse_tgds("P(x) -> P(x)", schema),
-                plan="interpreted", order="adaptive",
             )
 
     def test_order_modes_exported(self):
@@ -775,8 +813,7 @@ class TestOrderAxis:
         TELEMETRY.reset()
         TELEMETRY.enable(spans=False)
         try:
-            chase(instance, deps, plan="compiled", order="adaptive",
-                  max_rounds=4)
+            chase(instance, deps, order="adaptive", max_rounds=4)
             counters = TELEMETRY.snapshot()
         finally:
             TELEMETRY.disable()

@@ -43,6 +43,8 @@ from repro.lang.parser import parse_dependency
 from repro.lang.terms import element_sort_key
 from repro.telemetry import TELEMETRY
 
+from .matchers import substitute
+
 BACKENDS = {"object": _State, "columnar": ColumnarState}
 POOL = [Const(f"c{i}") for i in range(3)] + [Null(i) for i in range(4)]
 
@@ -296,18 +298,19 @@ def test_chunked_chase_is_independent_of_the_hash_seed():
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-@pytest.mark.parametrize("plan", ["compiled", "interpreted"])
-def test_working_state_is_freed_without_gc(backend, plan):
+@pytest.mark.parametrize("matcher", ["compiled", "interpreted"])
+def test_working_state_is_freed_without_gc(backend, matcher, monkeypatch):
     """No reference cycle keeps a working state (or a columnar store it
     built) alive after ``chase()`` returns, merges included, so its
     index and sorted views are freed at once rather than at the next
     cyclic collection."""
+    substitute(monkeypatch, matcher)
     deps = [parse_dependency(rule, INVENT_SCHEMA) for rule in INVENT_RULES]
     instance = _invent_instance(8)
     gc.collect()
     gc.disable()
     try:
-        result = chase(instance, deps, backend=backend, plan=plan)
+        result = chase(instance, deps, backend=backend)
         kept = {id(instance._columnar), id(result.instance._columnar)}
         alive = [
             obj for obj in gc.get_objects()

@@ -12,15 +12,16 @@ from repro.homomorphisms import (
 )
 from repro.lang import Const, Var, parse_atoms
 
+from .matchers import substitute
+
 SCHEMA = Schema.of(("E", 2), ("V", 1))
 
 
 @pytest.fixture(autouse=True, params=["compiled", "interpreted"])
-def plan_mode(request, monkeypatch):
-    """Run every test in this module under both search backends."""
-    from repro.homomorphisms import plans
-
-    monkeypatch.setattr(plans, "DEFAULT_PLAN", request.param)
+def matcher(request, monkeypatch):
+    """Run every test in this module under the production plans and
+    under the reference interpreter."""
+    substitute(monkeypatch, request.param)
     return request.param
 
 

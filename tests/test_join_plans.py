@@ -2,12 +2,13 @@
 
 The central obligation is the determinism contract: the compiled join
 plans must yield *byte-identical* streams to the interpreted reference
-path — the same assignments, in the same order, with the same dict key
-insertion order — across random conjunctions, instances, partial
-assignments and injectivity.  On top of that: plan-cache unit tests
-(renaming-invariant sharing, extent-rank invalidation, LRU eviction)
-and structural checks that compilation reproduces the interpreter's
-greedy most-constrained atom order.
+matcher (:mod:`repro.homomorphisms.reference`, substituted for the
+plans through :mod:`tests.matchers`) — the same assignments, in the
+same order, with the same dict key insertion order — across random
+conjunctions, instances, partial assignments and injectivity.  On top
+of that: plan-cache unit tests (renaming-invariant sharing, extent-rank
+invalidation, LRU eviction) and structural checks that compilation
+reproduces the interpreter's greedy most-constrained atom order.
 """
 
 from __future__ import annotations
@@ -22,19 +23,18 @@ from repro.homomorphisms import (
     all_extensions_of,
     all_homomorphisms,
     find_extension,
+    find_homomorphism,
     satisfies_atoms,
 )
 from repro.homomorphisms.plans import (
-    DEFAULT_PLAN,
     PLAN_CACHE,
-    PLAN_MODES,
     PlanCache,
     compile_plan,
     conjunction_signature,
 )
-from repro.homomorphisms import plans as plans_module
-from repro.homomorphisms.search import _resolve_plan
 from repro.lang import Atom, Const, Fact, Var, parse_atoms
+
+from .matchers import MATCHERS, matching, substitute
 
 SCHEMA = Schema.of(("E", 2), ("R", 2), ("P", 1), ("T", 3))
 RELATIONS = tuple(SCHEMA)
@@ -98,17 +98,12 @@ class TestByteIdentity:
         atoms = random_conjunction(rng, atom_count)
         target = random_target(rng, fact_count)
         partial = random_partial(rng, atoms) if with_partial else None
-        interpreted = list(
-            all_extensions_of(
-                atoms, target, partial,
-                injective=injective, plan="interpreted",
+        with matching("interpreted"):
+            interpreted = list(
+                all_extensions_of(atoms, target, partial, injective=injective)
             )
-        )
         compiled = list(
-            all_extensions_of(
-                atoms, target, partial,
-                injective=injective, plan="compiled",
-            )
+            all_extensions_of(atoms, target, partial, injective=injective)
         )
         assert as_pairs(compiled) == as_pairs(interpreted)
 
@@ -121,38 +116,33 @@ class TestByteIdentity:
         rng = random.Random(seed)
         source = random_target(rng, rng.randint(1, 4))
         target = random_target(rng, rng.randint(0, 8))
-        interpreted = list(
-            all_homomorphisms(
-                source, target, injective=injective, plan="interpreted"
+        with matching("interpreted"):
+            interpreted = list(
+                all_homomorphisms(source, target, injective=injective)
             )
-        )
-        compiled = list(
-            all_homomorphisms(
-                source, target, injective=injective, plan="compiled"
-            )
-        )
+        compiled = list(all_homomorphisms(source, target, injective=injective))
         assert as_pairs(compiled) == as_pairs(interpreted)
 
     def test_empty_conjunction_yields_partial_once(self):
         target = Instance.parse("E(a, b)", SCHEMA)
         partial = {Var("x"): Const("c")}
-        for plan in PLAN_MODES:
-            (only,) = all_extensions_of((), target, partial, plan=plan)
+        for matcher in MATCHERS:
+            with matching(matcher):
+                (only,) = all_extensions_of((), target, partial)
             assert only == partial
 
     def test_non_injective_seed_rejected_by_both(self):
         target = Instance.parse("E(a, b). P(a). P(b)", SCHEMA)
         atoms = parse_atoms("P(z)", SCHEMA)
         seed = {Var("x"): Const("a"), Var("y"): Const("a")}
-        for plan in PLAN_MODES:
-            assert (
-                list(
-                    all_extensions_of(
-                        atoms, target, seed, injective=True, plan=plan
+        for matcher in MATCHERS:
+            with matching(matcher):
+                assert (
+                    list(
+                        all_extensions_of(atoms, target, seed, injective=True)
                     )
+                    == []
                 )
-                == []
-            )
 
 
 class TestPlanStructure:
@@ -329,42 +319,53 @@ class TestPlanCache:
         target = Instance.parse("E(a, b). E(b, c)", SCHEMA)
         atoms = parse_atoms("E(x, y), E(y, z)", SCHEMA)
         for __ in range(5):
-            assert find_extension(atoms, target, plan="compiled")
+            assert find_extension(atoms, target)
         info = PLAN_CACHE.info()
         assert info["compiles"] == 1
         assert info["hits"] == 4
 
 
 class TestPlanSelection:
-    def test_modes(self):
-        assert PLAN_MODES == ("compiled", "interpreted")
-        assert DEFAULT_PLAN == "compiled"
-
-    def test_resolve_defaults_and_overrides(self):
-        assert _resolve_plan(None, True) == DEFAULT_PLAN
-        assert _resolve_plan("interpreted", True) == "interpreted"
-        # Textual atom order is an interpreter-only ablation.
-        assert _resolve_plan("compiled", False) == "interpreted"
-
     def test_unknown_mode_rejected_eagerly(self):
+        # The atom order is the search's one mode; it is validated when
+        # the search is built, not when it is first iterated.
         target = Instance.parse("E(a, b)", SCHEMA)
         atoms = parse_atoms("E(x, y)", SCHEMA)
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            all_extensions_of(atoms, target, plan="magic")
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            satisfies_atoms(atoms, target, plan="magic")
+        with pytest.raises(ValueError, match="unknown order mode"):
+            all_extensions_of(atoms, target, order="magic")
+        with pytest.raises(ValueError, match="unknown order mode"):
+            satisfies_atoms(atoms, target, order="magic")
+
+    def test_no_matcher_knobs(self):
+        # Production has one matcher: no entry point takes plan= or
+        # dynamic_order=.
+        target = Instance.parse("E(a, b)", SCHEMA)
+        atoms = parse_atoms("E(x, y)", SCHEMA)
+        for knob in ({"plan": "interpreted"}, {"dynamic_order": False}):
+            for entry in (all_extensions_of, find_extension, satisfies_atoms):
+                with pytest.raises(TypeError):
+                    entry(atoms, target, **knob)
+            for entry in (all_homomorphisms, find_homomorphism):
+                with pytest.raises(TypeError):
+                    entry(target, target, **knob)
 
     def test_default_plan_is_monkeypatchable(self, monkeypatch):
-        monkeypatch.setattr(plans_module, "DEFAULT_PLAN", "interpreted")
+        # The reference interpreter replaces the plans at the one
+        # private point every search goes through: no plan is compiled.
+        substitute(monkeypatch, "interpreted")
         PLAN_CACHE.clear()
         target = Instance.parse("E(a, b)", SCHEMA)
         atoms = parse_atoms("E(x, y), E(y, z)", SCHEMA)
         list(all_extensions_of(atoms, target))
+        assert satisfies_atoms(atoms[:1], target)
         assert PLAN_CACHE.info()["compiles"] == 0
+        monkeypatch.undo()
+        assert satisfies_atoms(atoms[:1], target)
+        assert PLAN_CACHE.info()["compiles"] == 1
 
     def test_empty_extent_pruned_before_compiling(self):
         PLAN_CACHE.clear()
         target = Instance.parse("E(a, b)", SCHEMA)  # R is empty
         atoms = parse_atoms("E(x, y), R(y, z)", SCHEMA)
-        assert list(all_extensions_of(atoms, target, plan="compiled")) == []
+        assert list(all_extensions_of(atoms, target)) == []
         assert PLAN_CACHE.info()["compiles"] == 0

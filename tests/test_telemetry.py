@@ -32,6 +32,8 @@ from repro.telemetry import (
 )
 from repro.telemetry.spans import _NOOP
 
+from .matchers import MATCHERS, matching
+
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
@@ -369,11 +371,12 @@ class TestHomIndexProbes:
 
     SCHEMA = Schema.of(("E", 2))
 
-    def _run(self, plan, atoms_text, partial=None):
+    def _run(self, matcher, atoms_text, partial=None):
         db = Instance.parse("E(a, b). E(a, c). E(b, c)", self.SCHEMA)
         atoms = parse_atoms(atoms_text, self.SCHEMA)
         TELEMETRY.enable(spans=False)
-        matches = list(all_extensions_of(atoms, db, partial, plan=plan))
+        with matching(matcher):
+            matches = list(all_extensions_of(atoms, db, partial))
         counters = TELEMETRY.snapshot()
         TELEMETRY.disable()
         TELEMETRY.reset()
@@ -409,8 +412,8 @@ class TestHomIndexProbes:
         from repro.lang import Const, Var
 
         partial = {Var("x"): Const("a"), Var("y"): Const("b")}
-        for plan in ("interpreted", "compiled"):
-            matches, counters = self._run(plan, "E(x, y)", partial)
+        for matcher in MATCHERS:
+            matches, counters = self._run(matcher, "E(x, y)", partial)
             assert len(matches) == 1
             assert "hom.index_probes" not in counters
 
@@ -422,12 +425,22 @@ class TestHomIndexProbes:
         ) == 1
 
     def test_satisfies_atoms_forwards_plan(self):
+        # satisfies_atoms reaches whichever matcher is in place: the
+        # reference interpreter probes an index bucket, the compiled
+        # plan goes through the plan cache first.
         db = Instance.parse("E(a, b)", self.SCHEMA)
-        atoms = parse_atoms("E(x, y)", self.SCHEMA)
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            satisfies_atoms(atoms, db, plan="vectorized")
-        assert satisfies_atoms(atoms, db, plan="interpreted")
-        assert satisfies_atoms(atoms, db, plan="compiled")
+        atoms = parse_atoms("E(x, b)", self.SCHEMA)
+        seen = {}
+        for matcher in MATCHERS:
+            TELEMETRY.enable(spans=False)
+            with matching(matcher):
+                assert satisfies_atoms(atoms, db)
+            seen[matcher] = TELEMETRY.snapshot()
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        plan_lookups = ("hom.plan_hits", "hom.plan_compiles")
+        assert not any(seen["interpreted"].get(c) for c in plan_lookups)
+        assert sum(seen["compiled"].get(c, 0) for c in plan_lookups) == 1
 
 
 class TestStopReason:
