@@ -23,7 +23,8 @@ Two evaluation strategies compute the same result:
   rewrites like any addition, and an egd or denial constraint is
   re-checked only after one of its body relations has logged a fact.
   The working state keeps a per-relation, per-position hash index that
-  the homomorphism search probes directly.
+  the homomorphism search probes directly; a key egd is checked per
+  key group of that index, and a full tgd's activity by set membership.
 * **naive** — re-enumerates every trigger of every dependency each
   round (the textbook fixpoint loop).  Kept forever as the reference
   implementation: ``tests/test_differential_chase.py`` cross-checks the
@@ -44,12 +45,14 @@ termination guarantee.
 
 from __future__ import annotations
 
+import heapq
 import sys
 from dataclasses import dataclass, field
 from types import ModuleType
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Collection,
     Iterable,
     Iterator,
     Mapping,
@@ -64,14 +67,14 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
 from ..dependencies.denial import DenialConstraint
-from ..dependencies.egd import EGD
+from ..dependencies.egd import EGD, KeyShape
 from ..dependencies.tgd import TGD
 from ..homomorphisms.plans import DEFAULT_ORDER, ORDER_MODES
 from ..homomorphisms.search import all_extensions_of, find_extension, satisfies_atoms
 from ..instances.instance import BACKENDS, DEFAULT_BACKEND, Instance
 from ..lang.atoms import Atom
 from ..lang.schema import Relation, Schema
-from ..lang.terms import Const, FreshNulls, Null, Var, element_sort_key
+from ..lang.terms import Const, FreshNulls, Null, Term, Var, element_sort_key
 from ..stats.relation import RelationStats, StatsAccumulator
 from ..telemetry import TELEMETRY, MetricsProbe, span
 
@@ -570,15 +573,14 @@ def _logged_since(
 def _fire_tgd(
     state: _State | ColumnarState,
     tgd: TGD,
-    existentials: tuple[Var, ...],
     trigger: dict[Var, object],
     nulls: FreshNulls,
     inventor: Inventor | None = None,
     observer: Observer | None = None,
 ) -> tuple[int, int]:
     """Add the head image for a trigger, then notify the observer;
-    returns (facts_added, nulls_used).  ``existentials`` is the tgd's
-    ``existential_variables``, computed once per chase."""
+    returns (facts_added, nulls_used)."""
+    existentials = tgd.existential_variables
     assignment = dict(trigger)
     if inventor is None:
         for var in existentials:
@@ -596,25 +598,67 @@ def _fire_tgd(
     return added, len(existentials)
 
 
+# A full tgd's head as (relation, argument variables) per atom: under a
+# trigger its image is ground, so activity is one membership test each.
+_GroundHead = tuple[tuple[Relation, tuple[Term, ...]], ...]
+
+
+def _ground_head(tgd: TGD) -> _GroundHead | None:
+    """The head of a full tgd, ready for :func:`_head_holds`; ``None``
+    when the tgd has existential variables."""
+    if tgd.existential_variables:
+        return None
+    return tuple((atom.relation, atom.args) for atom in tgd.head)
+
+
+def _head_holds(
+    relations: Mapping[Relation, set[tuple[object, ...]]],
+    head: _GroundHead,
+    trigger: Mapping[Var, object],
+) -> bool:
+    """Is the ground head image of ``trigger`` already in the state?"""
+    for relation, args in head:
+        image = tuple([trigger[arg] for arg in args])  # type: ignore[index]
+        if image not in relations[relation]:
+            return False
+    return True
+
+
 def _chase_egd(
     state: _State | ColumnarState,
     egd: EGD,
     order: str | None,
+    since: int,
 ) -> tuple[bool, bool]:
-    """Apply one round of egd repairs; returns (changed, failed)."""
+    """Apply one round of egd repairs; returns (changed, failed).
+
+    A functional-dependency-shaped egd (:attr:`EGD.key_shape`) is
+    checked per key group (:func:`_key_violations`), any other by full
+    body joins (:func:`_scanned_violations`); under ``order="static"``
+    both yield the same violations in the same order.  ``since`` is the
+    log position of the egd's last clean check, or ``-1`` when every
+    fact must be checked (the first check, and every check under
+    ``naive``)."""
     if egd.is_trivial:
         return (False, False)
+    shape = egd.key_shape
+    if shape is None:
+        return _repair(state, _scanned_violations(state, egd, order))
+    return _repair(state, _key_violations(state, egd, shape, since))
+
+
+_Violation = tuple[object, object]
+
+
+def _repair(
+    state: _State | ColumnarState, violations: Iterator[_Violation]
+) -> tuple[bool, bool]:
+    """Merge each violation ``(lhs value, rhs value)`` away before the
+    next one is looked for; returns (changed, failed).  A null merges
+    into a constant, two nulls into the canonically smaller one, and
+    two distinct constants fail the chase."""
     changed = False
-    while True:
-        violation = None
-        # Search the live state; we break out before mutating it.
-        for trigger in all_extensions_of(egd.body, state, order=order):
-            if trigger[egd.lhs] != trigger[egd.rhs]:
-                violation = (trigger[egd.lhs], trigger[egd.rhs])
-                break
-        if violation is None:
-            return (changed, False)
-        left, right = violation
+    for left, right in violations:
         left_null = isinstance(left, Null)
         right_null = isinstance(right, Null)
         if not left_null and not right_null:
@@ -629,6 +673,140 @@ def _chase_egd(
         if TELEMETRY.enabled:
             TELEMETRY.count("chase.egd_merges")
         changed = True
+    return (changed, False)
+
+
+def _scanned_violations(
+    state: _State | ColumnarState, egd: EGD, order: str | None
+) -> Iterator[_Violation]:
+    """The general check: the first violating trigger of a full body
+    join, re-joined from scratch after each repair (the caller merges
+    before resuming this generator)."""
+    while True:
+        for trigger in all_extensions_of(egd.body, state, order=order):
+            if trigger[egd.lhs] != trigger[egd.rhs]:
+                break
+        else:
+            return
+        yield trigger[egd.lhs], trigger[egd.rhs]
+
+
+def _key_violations(
+    state: _State | ColumnarState,
+    egd: EGD,
+    shape: KeyShape,
+    since: int,
+) -> Iterator[_Violation]:
+    """The check of a functional-dependency-shaped egd, per key group.
+
+    Its violations are exactly the pairs of facts of ``R`` that agree
+    on the key positions and differ at the value position, so only a
+    *violating group* — the facts sharing a key, with two different
+    values — can yield one.  The general scan joins the first body atom
+    over all of ``R`` in canonical order, so the first violation it
+    finds starts from the smallest fact of any violating group (every
+    fact of such a group has a partner).  Here the candidate groups sit
+    in a heap keyed by their smallest fact, and the group on top is
+    searched with its key bound, which yields the very trigger the
+    general scan would under ``order="static"`` (the seeded search
+    enumerates the group in the same canonical order).  The seeded
+    search always runs in the static order, so the violations — and
+    with them the merges — do not depend on the ``order`` mode.
+
+    * If some key position's largest index bucket holds at most one
+      fact, no group has two: the egd holds and nothing is scanned.
+    * The first check (``since < 0``) groups all of ``R``; a re-check
+      takes only the keys of facts logged since the last clean check,
+      since every other group was clean then and gained no fact.
+    * After a merge (the caller applies it before resuming), the
+      groups that can turn violating or get a smaller first fact are
+      those that received a fact, and the merge logs exactly those; a
+      group that lost facts only has a larger first fact.  So the
+      remaining heap carries on, plus the keys of the merge's logged
+      rewrites.  Heap entries are re-validated when they reach the top.
+    """
+    relation, keys, value = shape
+    stats = state.relation_stats(relation)
+    if any(stats.max_bucket[pos] <= 1 for pos in keys):
+        return
+    key_vars = tuple(egd.body[0].args[pos] for pos in keys)
+    lhs, rhs = egd.lhs, egd.rhs
+    # (sort key of the group's smallest fact, key): a fact belongs to
+    # one group, so equal sort keys mean equal keys.
+    heap: list[tuple[tuple, tuple[object, ...]]] = []
+
+    def group(key: tuple[object, ...]) -> Collection[tuple[object, ...]]:
+        bucket = min(
+            (state.tuples_with(relation, pos, elem)
+             for pos, elem in zip(keys, key)),
+            key=len,
+        )
+        if len(keys) == 1:
+            return bucket
+        return [
+            tup for tup in bucket
+            if all(tup[pos] == elem for pos, elem in zip(keys, key))
+        ]
+
+    def smallest_if_violating(
+        facts: Collection[tuple[object, ...]],
+    ) -> tuple | None:
+        if len(facts) < 2 or len({tup[value] for tup in facts}) < 2:
+            return None
+        return min(element_sort_key(tup) for tup in facts)
+
+    def push(key: tuple[object, ...], facts: Collection) -> None:
+        smallest = smallest_if_violating(facts)
+        if smallest is not None:
+            heapq.heappush(heap, (smallest, key))
+
+    if since < 0:
+        groups: dict[tuple[object, ...], list[tuple[object, ...]]] = {}
+        for tup in state.tuples(relation):
+            groups.setdefault(
+                tuple([tup[pos] for pos in keys]), []
+            ).append(tup)
+        for key, facts in groups.items():
+            push(key, facts)
+    else:
+        for key in _logged_keys(state, relation, keys, since):
+            push(key, group(key))
+    while heap:
+        smallest, key = heap[0]
+        current = smallest_if_violating(group(key))
+        if current is None:
+            heapq.heappop(heap)
+            continue
+        if current != smallest:
+            heapq.heapreplace(heap, (current, key))
+            continue
+        for trigger in all_extensions_of(
+            egd.body, state, dict(zip(key_vars, key))
+        ):
+            if trigger[lhs] != trigger[rhs]:
+                break
+        else:  # pragma: no cover - a violating group always has one
+            heapq.heappop(heap)
+            continue
+        mark = len(state.log)
+        yield trigger[lhs], trigger[rhs]
+        # Merged: this group stays on the heap to be re-validated.
+        for key in _logged_keys(state, relation, keys, mark):
+            push(key, group(key))
+
+
+def _logged_keys(
+    state: _State | ColumnarState,
+    relation: Relation,
+    keys: tuple[int, ...],
+    since: int,
+) -> set[tuple[object, ...]]:
+    """The keys of the ``relation`` facts logged at or after ``since``."""
+    return {
+        tuple([tup[pos] for pos in keys])
+        for rel, tup in state.log[since:]
+        if rel == relation
+    }
 
 
 def chase(
@@ -689,8 +867,9 @@ def chase(
     joins over the indexed state, the default — or ``"naive"`` — full
     re-enumeration each round).  Under ``"seminaive"`` egd merges keep
     every delta valid (no sweep re-joins the whole state after a
-    merge), and an egd or denial constraint whose body relations logged
-    no fact since its last clean scan is not scanned again; ``"naive"``
+    merge), an egd or denial constraint whose body relations logged no
+    fact since its last clean scan is not scanned again, and a key egd
+    re-checks only the key groups of the facts logged since; ``"naive"``
     re-checks everything every round.  Both produce the same result;
     see the module docstring.
 
@@ -709,9 +888,14 @@ def chase(
     (per-(plan, statistics) orders from the selectivity cost model in
     :mod:`repro.stats`, with a guard-bound fallback to static).
     Adaptive runs produce the *same* chase result for tgd-only
-    dependency sets (trigger firing order is canonically sorted); with
-    egds the result is isomorphic rather than equal, because the
-    first-violation search is enumeration-order dependent.
+    dependency sets (trigger firing order is canonically sorted), and
+    for sets whose egds are all key egds — shaped like a functional
+    dependency, ``R(x̄, y, ū), R(x̄, z, v̄) → y = z`` (see
+    :attr:`repro.dependencies.egd.EGD.key_shape`) — because those are
+    checked per key group of the positional index in the static scan's
+    violation order under either mode.  With any other egd the result
+    is isomorphic rather than equal, because that egd's first-violation
+    search follows the enumeration order.
 
     ``inventor`` overrides the invention of existential witnesses: a
     callable ``(tgd, variable, assignment) -> element`` consulted once
@@ -832,16 +1016,10 @@ def chase(
     else:
         state = _State(instance, schema, log_input=delta_chunk is not None)
     cursors = [_DeltaCursor() for __ in deps]
-    # Per-dependency variable tuples, hoisted out of the firing loop
-    # (the TGD properties recompute them on every access).
-    universals = [
-        dep.universal_variables if isinstance(dep, TGD) else ()
-        for dep in deps
+    ground_heads = [
+        _ground_head(dep) if isinstance(dep, TGD) else None for dep in deps
     ]
-    existentials = [
-        dep.existential_variables if isinstance(dep, TGD) else ()
-        for dep in deps
-    ]
+    relations = state.relations
     nulls = FreshNulls()
     fired = 0
     nulls_created = 0
@@ -912,7 +1090,9 @@ def chase(
                                 )
                         else:
                             changed, egd_failed = _chase_egd(
-                                state, dep, order
+                                state, dep, order,
+                                cursor.position
+                                if strategy == "seminaive" else -1,
                             )
                             progressed = progressed or changed
                             if egd_failed:
@@ -921,7 +1101,8 @@ def chase(
                                 )
                         cursor.position = len(state.log)
                         continue
-                    univ = universals[index]
+                    univ = dep.universal_variables
+                    head = ground_heads[index]
                     for triggers in _trigger_batches(
                         state, dep, univ, cursor, strategy, order,
                         delta_chunk,
@@ -944,18 +1125,21 @@ def chase(
                                 if key in oblivious_done:
                                     continue
                                 oblivious_done.add(key)
-                            else:
-                                # Restricted: re-check activity against
-                                # the live indexed state (no snapshot
-                                # copies).
-                                if satisfies_atoms(
-                                    dep.head, state, trigger, order=order
-                                ):
+                            elif head is not None:
+                                # Restricted, full head: its image is
+                                # ground, so activity is set membership.
+                                if _head_holds(relations, head, trigger):
                                     continue
+                            elif satisfies_atoms(
+                                dep.head, state, trigger, order=order
+                            ):
+                                # Restricted, existential head: search
+                                # the live indexed state for a witness.
+                                continue
                             try:
                                 added, created = _fire_tgd(
-                                    state, dep, existentials[index],
-                                    trigger, nulls, inventor, observer,
+                                    state, dep, trigger, nulls, inventor,
+                                    observer,
                                 )
                             except ChaseMonitorStop:
                                 return finish(

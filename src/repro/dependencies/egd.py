@@ -7,16 +7,26 @@ and ``x_i, x_j`` body variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple
 
 from ..homomorphisms.search import all_extensions_of
 from ..instances.instance import Instance
 from ..lang.atoms import Atom, atoms_variables
-from ..lang.schema import Schema
+from ..lang.schema import Relation, Schema
 from ..lang.terms import Var
 from .tgd import DependencyError, _align
 
-__all__ = ["EGD"]
+__all__ = ["EGD", "KeyShape"]
+
+
+class KeyShape(NamedTuple):
+    """A functional dependency ``R: key_positions → value_position``,
+    as recognised by :attr:`EGD.key_shape`."""
+
+    relation: Relation
+    key_positions: tuple[int, ...]
+    value_position: int
 
 
 @dataclass(frozen=True)
@@ -43,9 +53,43 @@ class EGD:
             if atom.constants():
                 raise DependencyError(f"egds are constant-free: {atom}")
 
-    @property
+    @cached_property
     def universal_variables(self) -> tuple[Var, ...]:
         return atoms_variables(self.body)
+
+    @cached_property
+    def key_shape(self) -> KeyShape | None:
+        """The functional dependency this egd states, if it is shaped
+        like one: ``R(x̄, y, ū), R(x̄, z, v̄) → y = z`` up to argument
+        order, where both atoms are over one relation, each atom's
+        arguments are pairwise-distinct variables, the shared variables
+        x̄ (at least one) sit at the same *key* positions in both atoms,
+        and ``lhs``/``rhs`` (either way round) sit at one non-key
+        position.  ``None`` for every other egd.
+
+        Such an egd is violated exactly by two facts of ``R`` that agree
+        on the key positions and differ at the value position, which
+        lets the chase check it per key group of the positional index
+        (see :func:`repro.chase.engine._chase_egd`)."""
+        if len(self.body) != 2 or self.lhs == self.rhs:
+            return None
+        first, second = self.body
+        if first.relation != second.relation:
+            return None
+        for atom in self.body:
+            if len(set(atom.args)) != len(atom.args):
+                return None
+        shared = set(first.args) & set(second.args)
+        keys = tuple(
+            pos for pos, arg in enumerate(first.args) if arg in shared
+        )
+        if not keys or any(first.args[pos] != second.args[pos] for pos in keys):
+            return None
+        pair = {self.lhs, self.rhs}
+        for pos, arg in enumerate(first.args):
+            if pos not in keys and {arg, second.args[pos]} == pair:
+                return KeyShape(first.relation, keys, pos)
+        return None
 
     @property
     def width(self) -> tuple[int, int]:

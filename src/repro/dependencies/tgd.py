@@ -27,6 +27,7 @@ The central syntactic subclasses (Section 2):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ..instances.instance import Instance
@@ -62,14 +63,20 @@ class TGD:
 
     # ------------------------------------------------------------------
     # Variables and width
+    #
+    # The derived variable tuples are computed once per object and kept
+    # in its ``__dict__`` (``cached_property`` writes there directly, so
+    # the frozen ``__setattr__`` is not involved).  They are not
+    # dataclass fields: equality, hashing and ``dataclasses.replace``
+    # see only ``body`` and ``head``.
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def universal_variables(self) -> tuple[Var, ...]:
         """x̄ ∪ ȳ: all body variables."""
         return atoms_variables(self.body)
 
-    @property
+    @cached_property
     def frontier(self) -> tuple[Var, ...]:
         """fr(σ): universally quantified variables occurring in the head."""
         body_vars = set(self.universal_variables)
@@ -77,7 +84,7 @@ class TGD:
             v for v in atoms_variables(self.head) if v in body_vars
         )
 
-    @property
+    @cached_property
     def existential_variables(self) -> tuple[Var, ...]:
         """z̄: head variables that do not occur in the body."""
         body_vars = set(self.universal_variables)

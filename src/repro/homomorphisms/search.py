@@ -129,9 +129,10 @@ def _match(
     against the same per-relation sets both backends expose — so it is
     shared rather than duplicated per backend.
     """
-    # Fully-bound fast path: the chase's restricted-activity checks ask
-    # "does this ground head hold?" once per trigger — a handful of set
-    # membership tests that must not pay for signatures or plan lookups.
+    # Fully-bound fast path: "does this ground conjunction hold?" (a full
+    # tgd's head under a body match, in satisfied_by / violations) is a
+    # handful of set membership tests that must not pay for signatures
+    # or plan lookups.
     ground: list[tuple[object, ...]] | None = []
     for atom in atoms:
         resolved: list[object] = []

@@ -11,8 +11,9 @@ pins that protocol:
   fact a merge created is in the log delta (Hypothesis);
 * the saved work stays saved: after merges the tgds enumerate only the
   triggers the rewritten facts create, and an egd or denial whose body
-  relations gained no fact is not joined again (``strategy="naive"``
-  still joins it every round);
+  relations gained no fact is not checked again (``strategy="naive"``
+  still checks it every round); a key egd whose keys are unique is
+  answered from the index statistics without a body join;
 * a chunked chase is a function of its inputs alone, not of the
   interpreter's hash seed (subprocess runs under three seeds);
 * the working state is freed when ``chase()`` returns, with no cyclic
@@ -198,9 +199,12 @@ class TestSavedWork:
         )
 
     @staticmethod
-    def _joins(monkeypatch, strategy):
-        """Chase a growing transitive closure next to constraints; count
-        the body joins of each egd and denial."""
+    def _checks(monkeypatch, strategy):
+        """Chase a growing transitive closure next to constraints.  Count
+        the checks of each egd and denial: one per ``_chase_egd`` call
+        of an egd, one per body join of a denial.  Also count the body
+        joins of each egd, which the key egd ``K`` answers from the
+        index without."""
         schema = Schema.of(("E", 2), ("K", 2), ("D", 1))
         deps = [
             *parse_tgds("E(x, y), E(y, z) -> E(x, z)", schema),
@@ -211,16 +215,29 @@ class TestSavedWork:
         bodies = {
             id(dep.body): str(dep) for dep in deps if not isinstance(dep, TGD)
         }
+        checks = {name: 0 for name in bodies.values()}
         joins = {name: 0 for name in bodies.values()}
-        for name in ("all_extensions_of", "find_extension"):
+
+        def counted_join(name):
             original = getattr(engine, name)
 
-            def counted(atoms, *args, _original=original, **kwargs):
+            def counted(atoms, *args, **kwargs):
                 if id(atoms) in bodies:
-                    joins[bodies[id(atoms)]] += 1
-                return _original(atoms, *args, **kwargs)
+                    counter = checks if name == "find_extension" else joins
+                    counter[bodies[id(atoms)]] += 1
+                return original(atoms, *args, **kwargs)
 
             monkeypatch.setattr(engine, name, counted)
+
+        counted_join("all_extensions_of")
+        counted_join("find_extension")
+        original_check = engine._chase_egd
+
+        def counted_check(state, egd, *args, **kwargs):
+            checks[str(egd)] += 1
+            return original_check(state, egd, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_chase_egd", counted_check)
         instance = Instance.parse(
             "E(a, b). E(b, c). E(c, d). E(d, e). E(e, f). "
             "K(a, b). K(c, d). D(a)",
@@ -228,21 +245,50 @@ class TestSavedWork:
         )
         result = chase(instance, deps, strategy=strategy)
         assert result.successful
-        return joins, result.rounds
+        return checks, joins, result.rounds
 
     def test_unchanged_constraint_bodies_are_not_rejoined(self, monkeypatch):
-        joins, rounds = self._joins(monkeypatch, "seminaive")
+        checks, _joins, rounds = self._checks(monkeypatch, "seminaive")
         assert rounds >= 3
-        # K and D never gain a fact: one clean scan each.
-        assert joins["K(x, y), K(x, z) -> y = z"] == 1
-        assert joins["D(x), K(x, x) -> false"] == 1
+        # K and D never gain a fact: one clean check each.
+        assert checks["K(x, y), K(x, z) -> y = z"] == 1
+        assert checks["D(x), K(x, x) -> false"] == 1
         # E grows every round but the last, and the egd over it sorts
         # before the closure rule, so it sees new E facts every round.
-        assert joins["E(x, y), E(y, x) -> x = y"] == rounds
+        assert checks["E(x, y), E(y, x) -> x = y"] == rounds
 
     def test_naive_still_joins_every_round(self, monkeypatch):
-        joins, rounds = self._joins(monkeypatch, "naive")
-        assert set(joins.values()) == {rounds}
+        checks, _joins, rounds = self._checks(monkeypatch, "naive")
+        assert set(checks.values()) == {rounds}
+
+    @pytest.mark.parametrize("strategy", ["seminaive", "naive"])
+    def test_unique_keys_make_no_egd_body_joins(self, monkeypatch, strategy):
+        """A key egd whose keys are unique holds from the index
+        statistics alone; the non-key egd over E still joins its body
+        at every check."""
+        checks, joins, rounds = self._checks(monkeypatch, strategy)
+        assert checks["K(x, y), K(x, z) -> y = z"] >= 1
+        assert joins["K(x, y), K(x, z) -> y = z"] == 0
+        assert joins["E(x, y), E(y, x) -> x = y"] == rounds
+
+    def test_shared_keys_join_only_their_group(self, monkeypatch):
+        """With a key shared by two facts, the key egd joins its body
+        once, seeded with that key, and fails on the two constants."""
+        schema = Schema.of(("K", 2))
+        egd = parse_dependency("K(x, y), K(x, z) -> y = z", schema)
+        seeds = []
+        original = engine.all_extensions_of
+
+        def counted(atoms, target, partial=None, **kwargs):
+            if atoms is egd.body:
+                seeds.append(dict(partial or {}))
+            return original(atoms, target, partial, **kwargs)
+
+        monkeypatch.setattr(engine, "all_extensions_of", counted)
+        instance = Instance.parse("K(a, b). K(a, c). K(d, e). K(f, g)", schema)
+        result = chase(instance, [egd])
+        assert result.stop_reason == "egd_failure"
+        assert seeds == [{egd.body[0].args[0]: Const("a")}]
 
 
 HASHSEED_SCRIPT = r"""

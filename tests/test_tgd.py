@@ -147,3 +147,71 @@ class TestRenaming:
     def test_equality_is_syntactic(self):
         assert tgd("R(x, y) -> S(x)") == tgd("R(x, y) -> S(x)")
         assert tgd("R(x, y) -> S(x)") != tgd("R(u, v) -> S(u)")
+
+
+class TestDerivedFieldsOnce:
+    """The derived variable tuples are computed once per object and
+    stay out of equality, hashing, pickling and ``replace``."""
+
+    FIELDS = ("universal_variables", "existential_variables", "frontier")
+
+    def test_computed_once(self, monkeypatch):
+        import repro.dependencies.tgd as tgd_module
+
+        calls = []
+        original = tgd_module.atoms_variables
+
+        def counted(atoms):
+            calls.append(atoms)
+            return original(atoms)
+
+        monkeypatch.setattr(tgd_module, "atoms_variables", counted)
+        t = tgd("R(x, y) -> exists z . T(x, z)")
+        for name in self.FIELDS:
+            getattr(t, name)
+        before = len(calls)
+        for __ in range(3):
+            for name in self.FIELDS:
+                getattr(t, name)
+        assert len(calls) == before
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        warm = tgd("R(x, y) -> exists z . T(x, z)")
+        for name in self.FIELDS:
+            getattr(warm, name)
+        cold = TGD(warm.body, warm.head)
+        assert warm == cold and hash(warm) == hash(cold)
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        t = tgd("R(x, y), S(y) -> exists z . T(x, z)")
+        t.frontier
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t)
+        for name in self.FIELDS:
+            assert getattr(back, name) == getattr(t, name)
+
+    def test_replace_recomputes(self):
+        import dataclasses
+
+        t = tgd("R(x, y) -> exists z . T(x, z)")
+        assert t.existential_variables == (Var("z"),)
+        full = dataclasses.replace(t, head=(Atom(Relation("S", 1), (Var("y"),)),))
+        assert full.existential_variables == ()
+        assert full.frontier == (Var("y"),)
+
+    def test_egd_fields(self):
+        import dataclasses
+        import pickle
+
+        from repro.lang.parser import parse_dependency
+
+        schema = Schema.of(("R", 2))
+        egd = parse_dependency("R(x, y), R(x, z) -> y = z", schema)
+        assert egd.universal_variables is egd.universal_variables
+        assert egd.key_shape is not None
+        back = pickle.loads(pickle.dumps(egd))
+        assert back == egd and back.key_shape == egd.key_shape
+        swapped = dataclasses.replace(egd, rhs=Var("x"))
+        assert swapped.key_shape is None
